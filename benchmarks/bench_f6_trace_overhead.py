@@ -35,16 +35,12 @@ def run_scan(imager, rate):
     """One full DSMS scan; returns (points delivered, frames delivered)."""
     catalog = StreamCatalog()
     catalog.register_imager(imager)
-    if rate is not None:
-        obs.enable_frame_tracing(sample_rate=rate)
-    try:
+    changes = {} if rate is None else {"frame_tracer": obs.FrameTracer(sample_rate=rate)}
+    with obs.installed(**changes):
         server = DSMSServer(catalog)
         session = server.register(QUERY, encode_png=False)
         server.run()
         return session.points_received, len(session.frames)
-    finally:
-        if rate is not None:
-            obs.disable_frame_tracing()
 
 
 def best_of(imager, rate, repeats=REPEATS):

@@ -23,12 +23,14 @@ Run:  python examples/flight_recorder.py
 from __future__ import annotations
 
 import json
+import pathlib
 
 from repro import DSMSServer, GOESImager, StreamCatalog, obs
 from repro.faults import FaultSpec, harden_catalog, recovering
 from repro.obs import traces_to_chrome, traces_to_otlp
 
 QUERY = "stretch(reflectance(goes.vis), 'linear')"
+OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 
 def make_catalog() -> StreamCatalog:
@@ -64,8 +66,8 @@ def clean_run() -> None:
 
 def chaos_run():
     print("\n=== 2. chaos run: faults auto-pin traces ===")
-    ftracer = obs.enable_frame_tracing()  # manual install, no context manager
-    try:
+    ftracer = obs.FrameTracer()  # a tracer of your own, installed for the block
+    with obs.installed(frame_tracer=ftracer):
         spec = FaultSpec(seed=101, drop=0.08, bitflip=0.03)
         hardened, injector, ctx = harden_catalog(make_catalog(), spec)
         server = DSMSServer(hardened, recovery=ctx)
@@ -90,8 +92,6 @@ def chaos_run():
             flavor = "PARTIAL" if t.partial else f"t={t.frame_t:g}"
             print(f"  [{flavor}] annotations: {list(t.annotations)}")
         return pinned
-    finally:
-        obs.disable_frame_tracing()
 
 
 def export(pinned) -> None:
@@ -107,10 +107,10 @@ def export(pinned) -> None:
     print(f"otlp doc: {len(otlp['resourceSpans'])} resourceSpans, {spans} spans")
     # Write them next to this script the way the CLI's --export-chrome /
     # --export-otlp flags would:
+    OUTPUT_DIR.mkdir(exist_ok=True)
     for name, doc in (("flight_chrome.json", chrome), ("flight_otlp.json", otlp)):
-        with open(name, "w") as fh:
-            json.dump(doc, fh, indent=1)
-        print(f"wrote {name}")
+        (OUTPUT_DIR / name).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+        print(f"wrote {OUTPUT_DIR.name}/{name}")
 
 
 def main() -> None:

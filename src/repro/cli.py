@@ -413,10 +413,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     _, catalog = build_demo_catalog(args.seed, args.frames, *args.sector)
     catalog, fctx, finj = _maybe_harden(catalog, args)
     with obs.observe(stats=True):
-        ftracer = obs.enable_frame_tracing(
-            sample_rate=args.sample_rate, capacity=args.keep
+        ftracer = obs.FrameTracer(
+            sample_rate=args.sample_rate, recorder=obs.FlightRecorder(capacity=args.keep)
         )
-        try:
+        with obs.installed(frame_tracer=ftracer):
             slo = obs.SLOPolicy(max_lag_s=args.slo) if args.slo is not None else None
             server = DSMSServer(catalog, recovery=fctx, slo=slo)
             session = server.register(args.query)
@@ -461,8 +461,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
                     json.dumps(doc, indent=1), encoding="utf-8"
                 )
                 print(f"wrote {len(traces)} OTLP resource spans to {args.export_otlp}")
-        finally:
-            obs.disable_frame_tracing()
     if finj is not None:
         _print_fault_summary(finj, fctx)
     return 0
@@ -481,8 +479,8 @@ def _metrics_self_test() -> int:
         return 1
     print(
         "metrics self-test: ok (registry, histograms, escaping, spans, "
-        "frame traces, flight recorder, timeline store, journal, health, "
-        "zero-cost)"
+        "frame traces, flight recorder, span/ledger/hop agreement, "
+        "timeline store, journal, health, zero-cost)"
     )
     return 0
 
@@ -541,8 +539,8 @@ def _metrics_self_test_body() -> None:
     # match the query's plan-DAG stages), and the recorder never grows
     # past its bound (a capacity-1 ring must evict, not accumulate).
     _, catalog = build_demo_catalog(n_frames=2, width=32, height=16)
-    ftracer = obs.enable_frame_tracing(capacity=1)
-    try:
+    ftracer = obs.FrameTracer(recorder=obs.FlightRecorder(capacity=1))
+    with obs.installed(frame_tracer=ftracer):
         server = DSMSServer(catalog)
         session = server.register("reflectance(goes.vis)")
         server.run()
@@ -556,20 +554,32 @@ def _metrics_self_test_body() -> None:
         assert ftracer.recorder.within_bounds(), "flight recorder exceeded its bound"
         assert ftracer.recorder.evictions >= 1, "capacity-1 ring never evicted"
         assert len(server.recent_traces(session)) == 1, "ring kept more than capacity"
-    finally:
-        obs.disable_frame_tracing()
 
     # Sampling: rate 0.0 must trace nothing (and record nothing).
-    ftracer = obs.enable_frame_tracing(sample_rate=0.0)
-    try:
+    ftracer = obs.FrameTracer(sample_rate=0.0)
+    with obs.installed(frame_tracer=ftracer):
         server = DSMSServer(catalog)
         session = server.register("reflectance(goes.vis)")
         server.run()
         assert all(t is None for t in session.frame_traces()), "rate-0 run traced"
         assert ftracer.recorder.recorded == 0, "rate-0 run recorded traces"
         assert ftracer.chunks_sampled_out > 0, "rate-0 run saw no chunks"
-    finally:
-        obs.disable_frame_tracing()
+
+    # One record, three folds: after a run with everything on, each
+    # stage's span and StageStats ledger agree exactly and the delivered
+    # frames' hop walls add up to the same seconds (one full-sector query
+    # at rate 1.0: nothing shared, nothing pruned, every frame delivered).
+    with obs.observe(trace=True, stats=True, frame_trace=True) as ob:
+        server = DSMSServer(catalog)
+        session = server.register("stretch(reflectance(goes.vis), 'linear')")
+        # Hops are compared before the end-of-input flush: the flush of
+        # an operator holding nothing belongs to no frame.
+        server.run(close=False)
+        differing = obs.disagreements(ob.tracer, ob.stats, session.frame_traces())
+        server.run(max_chunks=0)
+        differing += obs.disagreements(ob.tracer, ob.stats)
+    assert ob.stats.stages and len(session.frames) == 2, "agreement run delivered nothing"
+    assert not differing, "span/ledger/hop disagreement: " + "; ".join(differing)
 
     # Timeline store invariants: ring capacity bound, strictly monotone
     # sample timestamps, rollup consistent with the raw ring contents,

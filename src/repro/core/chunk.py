@@ -17,6 +17,7 @@ Chunks are immutable; operators derive new chunks with ``with_values`` /
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Union
 
@@ -36,6 +37,7 @@ __all__ = [
     "PointChunk",
     "Chunk",
     "TimestampPolicy",
+    "chunk_time",
     "fast_grid_chunk",
     "fast_replace_values",
     "fast_grid_replace",
@@ -309,3 +311,10 @@ class PointChunk:
 
 
 Chunk = Union[GridChunk, PointChunk]
+
+
+def chunk_time(chunk: Chunk) -> float:
+    """Arrival-order key of a chunk (first point's time for point batches)."""
+    if isinstance(chunk, GridChunk):
+        return float(chunk.t)
+    return float(chunk.t[0]) if chunk.t.size else math.inf

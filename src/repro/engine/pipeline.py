@@ -17,26 +17,27 @@ DSMS gives each registered query its own operator instances.
 
 from __future__ import annotations
 
-import math
-from dataclasses import replace as dc_replace
 from itertools import islice
-from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from ..core.chunk import Chunk, GridChunk
+from ..core.chunk import Chunk, chunk_time
 from ..core.columnar import resolve_columnar
 from ..core.stream import GeoStream
 from ..errors import StreamError
 from ..faults.recovery import current_recovery
-from ..obs.stats import StatsCollector, current_collector
-from ..obs.trace import FrameTracer, current_frame_tracer
-from ..obs.tracing import Span, Tracer, current_tracer
+from ..obs.probe import Instruments, StageProbe, current, now
 from ..operators.base import BinaryOperator, Operator
 
 if TYPE_CHECKING:
     from ..faults.recovery import RecoveryContext
 
-__all__ = ["apply_operators", "compose_streams", "chunk_time", "iter_pipeline_operators"]
+__all__ = [
+    "apply_operators",
+    "compose_streams",
+    "chunk_time",
+    "iter_pipeline_operators",
+    "run_step",
+]
 
 
 def _epoch_guard(
@@ -65,72 +66,6 @@ def _epoch_guard(
         yield chunk
 
 
-def chunk_time(chunk: Chunk) -> float:
-    """Arrival-order key of a chunk (first point's time for point batches)."""
-    if isinstance(chunk, GridChunk):
-        return float(chunk.t)
-    return float(chunk.t[0]) if chunk.t.size else math.inf
-
-
-class _FrameHopper:
-    """Per-operator frame-trace hop recorder for the pull executor.
-
-    Pull operators reuse the stats ledger key (``plan_fingerprint`` when
-    the lowering stamped one, else ``pull:<name>``) so a hop in a frame
-    trace cross-references the same per-subplan exemplar.
-    """
-
-    __slots__ = ("ftr", "key", "label", "kind", "pending")
-
-    def __init__(self, ftr: FrameTracer, op: "Operator | BinaryOperator") -> None:
-        fp = getattr(op, "plan_fingerprint", None)
-        self.ftr = ftr
-        self.key = fp or f"pull:{op.name}"
-        self.kind = "stage" if fp else "pull"
-        self.label = getattr(op, "plan_label", "") or op.name
-        self.pending: list = []
-
-    def observe(
-        self, chunk: Chunk | None, outs: list[Chunk], t0: float, t1: float
-    ) -> list[Chunk]:
-        tctx = chunk.trace if chunk is not None else None
-        if tctx is not None:
-            self.ftr.record_hop(
-                tctx,
-                key=self.key,
-                label=self.label,
-                kind=self.kind,
-                t0=t0,
-                t1=t1,
-                points_in=chunk.n_points,
-                points_out=sum(c.n_points for c in outs),
-                chunks_out=len(outs),
-            )
-        elif chunk is None and self.pending:
-            # Flush of a buffering operator: account it against the
-            # oldest buffered context (queue wait = time spent held).
-            self.ftr.record_hop(
-                self.pending[0],
-                key=self.key,
-                label=self.label,
-                kind=self.kind,
-                t0=t0,
-                t1=t1,
-                points_in=0,
-                points_out=sum(c.n_points for c in outs),
-                chunks_out=len(outs),
-            )
-        if outs:
-            ctxs = self.pending + ([tctx] if tctx is not None else [])
-            if ctxs:
-                out_ctx = self.ftr.output_ctx(ctxs, self.key)
-                outs = [dc_replace(c, trace=out_ctx) for c in outs]
-                self.pending = []
-        elif tctx is not None:
-            self.pending.append(tctx)
-        return outs
-
-
 # Block size for the columnar pull executor. Large enough to amortize
 # per-block overhead and expose cross-chunk batching to process_many
 # overrides, small enough to keep the pipeline streaming (a 256-row block
@@ -157,135 +92,66 @@ def _block_feed(chunks: Iterable[Chunk], op: Operator) -> Iterator[Chunk]:
     yield from op.flush()
 
 
-def _feed(chunks: Iterable[Chunk], op: Operator) -> Iterator[Chunk]:
-    ctx = current_recovery()
-    collector = current_collector()
-    ftr = current_frame_tracer()
-    if collector is not None or ftr is not None:
-        yield from _stats_feed(chunks, op, collector, ctx, ftr)
-        return
-    if ctx is None:
-        if op.columnar:
-            yield from _block_feed(chunks, op)
-            return
-        for chunk in chunks:
-            yield from op.process(chunk)
-        yield from op.flush()
-        return
-    # Degrade-gracefully mode: a chunk the operator cannot process is
-    # quarantined to the dead-letter sink instead of killing the pipeline.
-    for chunk in chunks:
-        yield from ctx.guard(op, chunk)
-    yield from ctx.guard_flush(op)
-
-
-def _stats_feed(
-    chunks: Iterable[Chunk],
-    op: Operator,
-    collector: StatsCollector | None,
+def _call(
+    op: Operator | BinaryOperator,
+    chunk: Chunk | None,
+    side: str | None,
     ctx: "RecoveryContext | None",
-    ftr: FrameTracer | None = None,
-) -> Iterator[Chunk]:
-    """Stats/trace-collecting variant of ``_feed`` for the pull executor.
+) -> Iterable[Chunk]:
+    """One bare operator call: ``chunk`` None is the flush, ``side`` a binary input.
+
+    Under a recovery context (degrade-gracefully mode) a chunk the
+    operator cannot process is quarantined to the dead-letter sink
+    instead of killing the pipeline.
+    """
+    if ctx is not None:
+        return ctx.guard_flush(op) if chunk is None else ctx.guard(op, chunk, side)
+    if chunk is None:
+        return op.flush()
+    return op.process_side(side, chunk) if side is not None else op.process(chunk)
+
+
+def run_step(
+    op: Operator | BinaryOperator,
+    chunk: Chunk | None,
+    side: str | None,
+    ctx: "RecoveryContext | None",
+    probe: StageProbe | None,
+) -> Iterable[Chunk]:
+    """The one operator step both executors take.
+
+    With no probe (nothing installed), or a chunk the probe does not
+    observe, this is the bare call. Otherwise the outputs are
+    materialized inside the timed section — so it covers only this
+    operator's work, not downstream consumers pulling on a generator —
+    and accounted once through :meth:`StageProbe.record`.
+    """
+    if probe is None or not probe.observes(chunk):
+        return _call(op, chunk, side, ctx)
+    t0 = now()
+    outs = list(_call(op, chunk, side, ctx))
+    return probe.record(chunk, outs, t0, now())
+
+
+def _probe(ins: Instruments, op: Operator | BinaryOperator) -> StageProbe | None:
+    """A per-open probe for a pull operator, None when nothing observes steps.
 
     Pull pipelines have no shared stages, but the plan lowering stamps
-    each operator with its plan node's fingerprint/kind, so observed
-    statistics land in the same per-subplan ledgers the push DAG uses.
-    Provenance tags, when present on inputs, are merged and re-stamped;
-    a frame tracer, when installed, gets one hop per processing call.
+    each operator with its plan node's fingerprint/kind, so what a probe
+    records lands in the same per-subplan ledgers and hop keys the push
+    DAG uses.
     """
-    entry = None
-    if collector is not None:
-        entry = collector.stage(
-            getattr(op, "plan_fingerprint", None) or f"pull:{op.name}",
-            label=getattr(op, "plan_label", "") or op.name,
-            kind=getattr(op, "plan_kind", "") or type(op).__name__,
-        )
-    hopper = _FrameHopper(ftr, op) if ftr is not None else None
-    prov = None
-
-    def finish(
-        chunk: Chunk | None, outs: list[Chunk], t0: float, t1: float
-    ) -> list[Chunk]:
-        nonlocal prov
-        if entry is not None:
-            entry.observe(
-                points_in=chunk.n_points if chunk is not None else 0,
-                points_out=sum(c.n_points for c in outs),
-                bytes_in=chunk.nbytes if chunk is not None else 0,
-                bytes_out=sum(c.nbytes for c in outs),
-                chunks_out=len(outs),
-                wall_s=t1 - t0,
-                chunks_in=1 if chunk is not None else 0,
-            )
-            if collector.provenance:
-                if chunk is not None and chunk.provenance is not None:
-                    prov = (
-                        chunk.provenance
-                        if prov is None
-                        else prov.merge(chunk.provenance)
-                    )
-                if prov is not None and outs:
-                    tag = prov.with_stage(entry.fingerprint)
-                    outs = [dc_replace(c, provenance=tag) for c in outs]
-        if hopper is not None:
-            outs = hopper.observe(chunk, outs, t0, t1)
-        return outs
-
-    for chunk in chunks:
-        t0 = perf_counter()
-        outs = list(op.process(chunk)) if ctx is None else ctx.guard(op, chunk)
-        yield from finish(chunk, outs, t0, perf_counter())
-    t0 = perf_counter()
-    outs = list(op.flush()) if ctx is None else ctx.guard_flush(op)
-    yield from finish(None, outs, t0, perf_counter())
+    return StageProbe(op).bind(ins) if ins.steps else None
 
 
-def _traced_feed(
-    chunks: Iterable[Chunk],
-    op: Operator,
-    span: Span,
-    tracer: Tracer,
-    ftr: FrameTracer | None = None,
-) -> Iterator[Chunk]:
-    """Traced variant of ``_feed``: per-chunk wall clock into ``span``.
-
-    Each chunk's outputs are materialized before being yielded so the
-    timed section covers only this operator's work, not the downstream
-    consumers pulling on the generator.
-    """
+def _feed(chunks: Iterable[Chunk], op: Operator, probe: StageProbe | None) -> Iterator[Chunk]:
     ctx = current_recovery()
-    hopper = _FrameHopper(ftr, op) if ftr is not None else None
+    if probe is None and ctx is None and op.columnar:
+        yield from _block_feed(chunks, op)
+        return
     for chunk in chunks:
-        t0 = perf_counter()
-        outs = list(op.process(chunk)) if ctx is None else ctx.guard(op, chunk)
-        t1 = perf_counter()
-        dt = t1 - t0
-        span.record(
-            points_in=chunk.n_points,
-            points_out=sum(c.n_points for c in outs),
-            chunks_out=len(outs),
-            wall_s=dt,
-            stream_t=chunk_time(chunk),
-        )
-        tracer.observe_operator(op.name, dt)
-        if hopper is not None:
-            outs = hopper.observe(chunk, outs, t0, t1)
-        yield from outs
-    t0 = perf_counter()
-    outs = list(op.flush()) if ctx is None else ctx.guard_flush(op)
-    t1 = perf_counter()
-    span.record(
-        points_in=0,
-        points_out=sum(c.n_points for c in outs),
-        chunks_out=len(outs),
-        wall_s=t1 - t0,
-        chunks_in=0,
-    )
-    span.finish()
-    if hopper is not None:
-        outs = hopper.observe(None, outs, t0, t1)
-    yield from outs
+        yield from run_step(op, chunk, None, ctx, probe)
+    yield from run_step(op, None, None, ctx, probe)
 
 
 def apply_operators(
@@ -320,21 +186,18 @@ def apply_operators(
         for op in operators:
             op.reset()
         it: Iterator[Chunk] = stream.chunks()
-        tracer = current_tracer()
-        if tracer is None:
-            for op in operators:
-                it = _feed(it, op)
-        else:
-            # Parent spans follow dataflow: each operator's span hangs off
-            # the one feeding it, rooted at the upstream stream's tail span.
-            ftr = current_frame_tracer()
-            parent = tracer.span_for_stream(stream)
-            for op in operators:
-                span = tracer.begin_operator(op, parent=parent)
-                it = _traced_feed(it, op, span, tracer, ftr)
-                parent = span
-            if parent is not None:
-                tracer.bind_stream(result, parent)
+        ins = current()
+        tracer = ins.tracer
+        # Parent spans follow dataflow: each operator's span hangs off
+        # the one feeding it, rooted at the upstream stream's tail span.
+        parent = tracer.span_for_stream(stream) if tracer is not None else None
+        for op in operators:
+            probe = _probe(ins, op)
+            if tracer is not None:  # a tracer observes steps, so there is a probe
+                parent = probe.open_span(parent)
+            it = _feed(it, op, probe)
+        if tracer is not None and parent is not None:
+            tracer.bind_stream(result, parent)
         return _epoch_guard(it, state, epoch, metadata.stream_id)
 
     result = GeoStream(metadata, source)
@@ -369,22 +232,18 @@ def compose_streams(
         epoch = state["epoch"]
         operator.reset()
         li, ri = left.chunks(), right.chunks()
-        tracer = current_tracer()
-        if tracer is None:
-            return _epoch_guard(
-                _merge(li, ri, operator), state, epoch, metadata.stream_id
+        ins = current()
+        tracer = ins.tracer
+        probe = _probe(ins, operator)
+        if tracer is not None:  # a tracer observes steps, so there is a probe
+            lspan = tracer.span_for_stream(left)
+            rspan = tracer.span_for_stream(right)
+            span = probe.open_span(
+                lspan, inputs=[s.span_id for s in (lspan, rspan) if s is not None]
             )
-        lspan = tracer.span_for_stream(left)
-        rspan = tracer.span_for_stream(right)
-        span = tracer.begin_operator(
-            operator,
-            parent=lspan,
-            inputs=[s.span_id for s in (lspan, rspan) if s is not None],
-        )
-        tracer.bind_stream(result, span)
+            tracer.bind_stream(result, span)
         return _epoch_guard(
-            _traced_merge(li, ri, operator, span, tracer, current_frame_tracer()),
-            state, epoch, metadata.stream_id,
+            _merge(li, ri, operator, probe), state, epoch, metadata.stream_id
         )
 
     result = GeoStream(metadata, source)
@@ -394,144 +253,25 @@ def compose_streams(
 
 
 def _merge(
-    left: Iterator[Chunk], right: Iterator[Chunk], operator: BinaryOperator
-) -> Iterator[Chunk]:
-    ctx = current_recovery()
-    collector = current_collector()
-    ftr = current_frame_tracer()
-    entry = None
-    prov = None
-    if collector is not None:
-        entry = collector.stage(
-            getattr(operator, "plan_fingerprint", None) or f"pull:{operator.name}",
-            label=getattr(operator, "plan_label", "") or operator.name,
-            kind=getattr(operator, "plan_kind", "") or type(operator).__name__,
-        )
-    hopper = _FrameHopper(ftr, operator) if ftr is not None else None
-
-    def observe(
-        chunk: Chunk | None, outs: list[Chunk], t0: float, t1: float
-    ) -> list[Chunk]:
-        nonlocal prov
-        if entry is not None:
-            entry.observe(
-                points_in=chunk.n_points if chunk is not None else 0,
-                points_out=sum(c.n_points for c in outs),
-                bytes_in=chunk.nbytes if chunk is not None else 0,
-                bytes_out=sum(c.nbytes for c in outs),
-                chunks_out=len(outs),
-                wall_s=t1 - t0,
-                chunks_in=1 if chunk is not None else 0,
-            )
-            if collector.provenance:
-                if chunk is not None and chunk.provenance is not None:
-                    prov = (
-                        chunk.provenance
-                        if prov is None
-                        else prov.merge(chunk.provenance)
-                    )
-                if prov is not None and outs:
-                    tag = prov.with_stage(entry.fingerprint)
-                    outs = [dc_replace(c, provenance=tag) for c in outs]
-        if hopper is not None:
-            outs = hopper.observe(chunk, outs, t0, t1)
-        return outs
-
-    def step(side: str, chunk: Chunk) -> Iterable[Chunk]:
-        if entry is None and hopper is None:
-            if ctx is None:
-                return operator.process_side(side, chunk)
-            return ctx.guard(operator, chunk, side)
-        t0 = perf_counter()
-        outs = (
-            list(operator.process_side(side, chunk))
-            if ctx is None
-            else ctx.guard(operator, chunk, side)
-        )
-        return observe(chunk, outs, t0, perf_counter())
-
-    lc = next(left, None)
-    rc = next(right, None)
-    while lc is not None or rc is not None:
-        take_left = rc is None or (lc is not None and chunk_time(lc) <= chunk_time(rc))
-        if take_left:
-            assert lc is not None
-            yield from step("left", lc)
-            lc = next(left, None)
-        else:
-            assert rc is not None
-            yield from step("right", rc)
-            rc = next(right, None)
-    if entry is None and hopper is None:
-        if ctx is None:
-            yield from operator.flush()
-        else:
-            yield from ctx.guard_flush(operator)
-        return
-    t0 = perf_counter()
-    outs = list(operator.flush()) if ctx is None else ctx.guard_flush(operator)
-    yield from observe(None, outs, t0, perf_counter())
-
-
-def _traced_merge(
     left: Iterator[Chunk],
     right: Iterator[Chunk],
     operator: BinaryOperator,
-    span: Span,
-    tracer: Tracer,
-    ftr: FrameTracer | None = None,
+    probe: StageProbe | None,
 ) -> Iterator[Chunk]:
-    """Traced variant of ``_merge`` (same interleaving, timed sides)."""
     ctx = current_recovery()
-    hopper = _FrameHopper(ftr, operator) if ftr is not None else None
-
-    def step(side: str, chunk: Chunk) -> list[Chunk]:
-        t0 = perf_counter()
-        outs = (
-            list(operator.process_side(side, chunk))
-            if ctx is None
-            else ctx.guard(operator, chunk, side)
-        )
-        t1 = perf_counter()
-        dt = t1 - t0
-        span.record(
-            points_in=chunk.n_points,
-            points_out=sum(c.n_points for c in outs),
-            chunks_out=len(outs),
-            wall_s=dt,
-            stream_t=chunk_time(chunk),
-        )
-        tracer.observe_operator(operator.name, dt)
-        if hopper is not None:
-            outs = hopper.observe(chunk, outs, t0, t1)
-        return outs
-
     lc = next(left, None)
     rc = next(right, None)
     while lc is not None or rc is not None:
         take_left = rc is None or (lc is not None and chunk_time(lc) <= chunk_time(rc))
         if take_left:
             assert lc is not None
-            yield from step("left", lc)
+            yield from run_step(operator, lc, "left", ctx, probe)
             lc = next(left, None)
         else:
             assert rc is not None
-            yield from step("right", rc)
+            yield from run_step(operator, rc, "right", ctx, probe)
             rc = next(right, None)
-    t0 = perf_counter()
-    outs = list(operator.flush()) if ctx is None else ctx.guard_flush(operator)
-    t1 = perf_counter()
-    span.record(
-        points_in=0,
-        points_out=sum(c.n_points for c in outs),
-        chunks_out=len(outs),
-        wall_s=t1 - t0,
-        chunks_in=0,
-    )
-    span.finish()
-    if hopper is not None:
-        outs = hopper.observe(None, outs, t0, t1)
-    yield from outs
+    yield from run_step(operator, None, None, ctx, probe)
 
 
 def iter_pipeline_operators(stream: GeoStream) -> Iterator[Operator | BinaryOperator]:

@@ -11,8 +11,9 @@ benchmark snapshot hook all go through this)::
     obs.write_jsonl("run.jsonl", lines)
 
 Everything is off by default: the engine's hot paths check
-:func:`metrics_enabled` / :func:`current_tracer` and do no registry or
-span work when observability is disabled. See docs/observability.md.
+:func:`metrics_enabled` and the one installed :class:`Instruments` record
+(:mod:`repro.obs.probe`) and do no registry, span or timing work when
+observability is disabled. See docs/observability.md.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .export import (
     traces_to_otlp,
     write_jsonl,
 )
+from .probe import Instruments, StageProbe, disagreements, install, installed
+from .probe import current as current_instruments
 from .registry import (
     DEFAULT_BUCKETS,
     LATENCY_BUCKETS,
@@ -55,20 +58,14 @@ from .timeline import (
     MetricStore,
     QueryHealth,
     Rollup,
-    clear_journal,
-    clear_metric_store,
     current_journal,
     current_metric_store,
-    install_journal,
-    install_metric_store,
 )
 from .stats import (
     Reservoir,
     StageStats,
     StatsCollector,
     current_collector,
-    disable_stats,
-    enable_stats,
     format_lineage,
     lineage,
 )
@@ -79,13 +76,11 @@ from .trace import (
     FrameTracer,
     TraceContext,
     current_frame_tracer,
-    disable_frame_tracing,
-    enable_frame_tracing,
     hop_tree,
     render_waterfall,
     trace_source,
 )
-from .tracing import Span, Tracer, current_tracer, disable_tracing, enable_tracing
+from .tracing import Span, Tracer, current_tracer
 
 __all__ = [
     "Counter",
@@ -100,11 +95,15 @@ __all__ = [
     "metrics_enabled",
     "enable_metrics",
     "disable_metrics",
+    "Instruments",
+    "StageProbe",
+    "current_instruments",
+    "disagreements",
+    "install",
+    "installed",
     "Span",
     "Tracer",
     "current_tracer",
-    "enable_tracing",
-    "disable_tracing",
     "collect_run",
     "snapshot_lines",
     "to_prometheus",
@@ -118,8 +117,6 @@ __all__ = [
     "FrameTracer",
     "FlightRecorder",
     "current_frame_tracer",
-    "enable_frame_tracing",
-    "disable_frame_tracing",
     "trace_source",
     "hop_tree",
     "render_waterfall",
@@ -127,8 +124,6 @@ __all__ = [
     "StageStats",
     "StatsCollector",
     "current_collector",
-    "enable_stats",
-    "disable_stats",
     "lineage",
     "format_lineage",
     "SLOPolicy",
@@ -143,11 +138,7 @@ __all__ = [
     "HealthReport",
     "QueryHealth",
     "current_metric_store",
-    "install_metric_store",
-    "clear_metric_store",
     "current_journal",
-    "install_journal",
-    "clear_journal",
     "register_build_info",
     "Observation",
     "observe",
@@ -178,9 +169,9 @@ def observe(
     """Enable metrics (and optionally tracing/stage stats) for a block.
 
     Resets the process registry on entry by default so each observed run
-    starts from clean counters, and restores the previous enabled/tracer/
-    collector state on exit — nesting and test isolation both work. With
-    ``stats=True`` a :class:`StatsCollector` is installed, so DAG stages
+    starts from clean counters, and restores the previous enabled flag and
+    :class:`Instruments` record on exit — nesting and test isolation both
+    work. With ``stats=True`` a :class:`StatsCollector` is installed, so DAG stages
     accumulate :class:`StageStats` and chunks carry provenance tags. With
     ``frame_trace=True`` (or a 0..1 head-sampling rate) a
     :class:`FrameTracer` with a :class:`FlightRecorder` is installed, so
@@ -193,65 +184,31 @@ def observe(
     """
     registry = get_registry()
     was_enabled = metrics_enabled()
-    previous_tracer = current_tracer()
-    previous_collector = current_collector()
-    previous_ftracer = current_frame_tracer()
-    previous_store = current_metric_store()
-    previous_journal = current_journal()
     if reset:
         registry.reset()
     enable_metrics()
-    tracer = enable_tracing(Tracer(registry)) if trace else previous_tracer
-    collector = enable_stats() if stats else previous_collector
+    changes: dict[str, object] = {}
+    if trace:
+        changes["tracer"] = Tracer(registry)
+    if stats:
+        changes["stats"] = StatsCollector()
     if frame_trace is not False:
         rate = 1.0 if frame_trace is True else float(frame_trace)
-        ftracer = enable_frame_tracing(sample_rate=rate)
-    else:
-        ftracer = previous_ftracer
+        changes["frame_tracer"] = FrameTracer(sample_rate=rate)
     if store is not False:
-        metric_store = install_metric_store(store if isinstance(store, MetricStore) else None)
-    else:
-        metric_store = previous_store
+        changes["store"] = store if isinstance(store, MetricStore) else MetricStore()
     if journal is not False:
-        event_journal = install_journal(
-            journal if isinstance(journal, EventJournal) else None
-        )
-    else:
-        event_journal = previous_journal
+        changes["journal"] = journal if isinstance(journal, EventJournal) else EventJournal()
     try:
-        yield Observation(
-            registry=registry,
-            tracer=tracer,
-            stats=collector,
-            frame_tracer=ftracer,
-            store=metric_store,
-            journal=event_journal,
-        )
+        with installed(**changes) as ins:
+            yield Observation(
+                registry=registry,
+                tracer=ins.tracer,
+                stats=ins.stats,
+                frame_tracer=ins.frame_tracer,
+                store=ins.store,
+                journal=ins.journal,
+            )
     finally:
         if not was_enabled:
             disable_metrics()
-        if trace:
-            if previous_tracer is None:
-                disable_tracing()
-            else:
-                enable_tracing(previous_tracer)
-        if stats:
-            if previous_collector is None:
-                disable_stats()
-            else:
-                enable_stats(previous_collector)
-        if frame_trace is not False:
-            if previous_ftracer is None:
-                disable_frame_tracing()
-            else:
-                enable_frame_tracing(previous_ftracer)
-        if store is not False:
-            if previous_store is None:
-                clear_metric_store()
-            else:
-                install_metric_store(previous_store)
-        if journal is not False:
-            if previous_journal is None:
-                clear_journal()
-            else:
-                install_journal(previous_journal)

@@ -8,9 +8,10 @@ per subplan **fingerprint**, so a stage shared by many queries has one
 ledger — exactly the granularity ``EXPLAIN ANALYZE`` and
 :class:`~repro.query.calibration.CalibrationProfile` need.
 
-Collection follows the registry's opt-in discipline: the DAG executor
-checks :func:`current_collector` once per chunk and does no timing, no
-provenance tagging, and no dict work when no collector is installed.
+Collection follows the registry's opt-in discipline: the collector is
+one field of the installed :class:`~repro.obs.probe.Instruments` record,
+and the executors do no timing, no provenance tagging, and no dict work
+when none is installed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import threading
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..core.provenance import Provenance
+from .probe import current
 from .registry import ObservabilityError
 
 if TYPE_CHECKING:
@@ -30,8 +32,6 @@ __all__ = [
     "StageStats",
     "StatsCollector",
     "current_collector",
-    "enable_stats",
-    "disable_stats",
     "lineage",
     "format_lineage",
 ]
@@ -248,25 +248,9 @@ class StatsCollector:
             self.frames_scanned.clear()
 
 
-# -- process-local collector, mirroring the metrics on/off switch ---------------
-
-_collector: StatsCollector | None = None
-
-
 def current_collector() -> StatsCollector | None:
     """Hot-path guard: stage statistics are recorded only when not None."""
-    return _collector
-
-
-def enable_stats(collector: StatsCollector | None = None) -> StatsCollector:
-    global _collector
-    _collector = collector if collector is not None else StatsCollector()
-    return _collector
-
-
-def disable_stats() -> None:
-    global _collector
-    _collector = None
+    return current().stats
 
 
 # -- lineage queries ------------------------------------------------------------

@@ -21,10 +21,11 @@ operable system:
   per-query and server-level ``healthy/degraded/unhealthy`` verdicts
   with explained reasons.
 
-Installation mirrors the tracer/collector pattern: module-global
-:func:`current_metric_store` / :func:`current_journal` are fetched once
-per run by the DSMS, and with nothing installed the fast path pays one
-``None`` check per chunk — no sampling, no allocation, no clock reads.
+Installation: the store and the journal are two fields of the installed
+:class:`~repro.obs.probe.Instruments` record (:func:`current_metric_store`
+/ :func:`current_journal` are views of it), read once per run by the
+DSMS; with nothing installed the fast path pays one ``None`` check per
+chunk — no sampling, no allocation, no clock reads.
 
 Determinism contract (enforced by ``repro_lint`` RL007): this module
 never reads a wall clock. Every timestamp is a *logical* time passed in
@@ -39,6 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
+from .probe import current
 from .registry import (
     Counter,
     Gauge,
@@ -62,11 +64,7 @@ __all__ = [
     "HealthReport",
     "HealthModel",
     "current_metric_store",
-    "install_metric_store",
-    "clear_metric_store",
     "current_journal",
-    "install_journal",
-    "clear_journal",
     "VERDICT_HEALTHY",
     "VERDICT_DEGRADED",
     "VERDICT_UNHEALTHY",
@@ -746,39 +744,11 @@ class HealthModel:
         )
 
 
-# -- module-global installation (same pattern as tracer/collector) ------------
-
-_store: MetricStore | None = None
-_journal: EventJournal | None = None
-
-
 def current_metric_store() -> MetricStore | None:
     """The installed metric store, or None (zero-cost fast path)."""
-    return _store
-
-
-def install_metric_store(store: MetricStore | None = None) -> MetricStore:
-    global _store
-    _store = store if store is not None else MetricStore()
-    return _store
-
-
-def clear_metric_store() -> None:
-    global _store
-    _store = None
+    return current().store
 
 
 def current_journal() -> EventJournal | None:
     """The installed event journal, or None (zero-cost fast path)."""
-    return _journal
-
-
-def install_journal(journal: EventJournal | None = None) -> EventJournal:
-    global _journal
-    _journal = journal if journal is not None else EventJournal()
-    return _journal
-
-
-def clear_journal() -> None:
-    global _journal
-    _journal = None
+    return current().journal

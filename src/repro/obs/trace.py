@@ -29,12 +29,11 @@ exemplar.  Pull operators reuse the stats ledger key
 (``plan_fingerprint`` or ``pull:<name>``), sources use
 ``source:<stream_id>`` and delivery uses ``delivery``.
 
-Zero-cost discipline: the fast path in stages/pipeline checks
-``current_frame_tracer()`` once per open (the same ``current_*`` rule as
-``tracing.py``) and an untraced chunk (``chunk.trace is None``) never
-triggers ``perf_counter`` — the perf-guard test in
-``tests/test_obs_stats.py`` monkeypatches this module's ``perf_counter``
-to raise.
+Zero-cost discipline: the frame tracer is one field of the installed
+:class:`~repro.obs.probe.Instruments` record, and an untraced chunk
+(``chunk.trace is None``) never triggers ``perf_counter`` — the
+perf-guard tests in ``tests/test_obs_stats.py`` monkeypatch this module's
+``perf_counter`` (and the step clock in :mod:`repro.obs.probe`) to raise.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from .probe import current
 from .registry import get_registry, metrics_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,8 +59,6 @@ __all__ = [
     "FlightRecorder",
     "FrameTracer",
     "current_frame_tracer",
-    "enable_frame_tracing",
-    "disable_frame_tracing",
     "trace_source",
     "render_waterfall",
 ]
@@ -378,7 +376,8 @@ class FlightRecorder:
 
 
 class FrameTracer:
-    """Process-wide per-frame tracer (install via :func:`enable_frame_tracing`).
+    """Process-wide per-frame tracer (install via ``obs.observe(frame_trace=...)``
+    or ``obs.installed(frame_tracer=...)``).
 
     Head-based sampling: the decision is taken once per source chunk at
     ``admit`` time (``sample_rate`` of chunks get a context; the rest
@@ -720,38 +719,9 @@ class FrameTracer:
         self._swap_window.clear()
 
 
-# -- module-global install (same pattern as tracing.py) ----------------
-_frame_tracer: FrameTracer | None = None
-
-
 def current_frame_tracer() -> FrameTracer | None:
-    """The installed frame tracer, or None.  Hot paths read this once
-    per open and skip all trace work when it returns None."""
-    return _frame_tracer
-
-
-def enable_frame_tracing(
-    tracer: FrameTracer | None = None,
-    *,
-    sample_rate: float = 1.0,
-    capacity: int = 16,
-    pinned_capacity: int = 32,
-    seed: int = 0,
-) -> FrameTracer:
-    global _frame_tracer
-    if tracer is None:
-        tracer = FrameTracer(
-            sample_rate=sample_rate,
-            recorder=FlightRecorder(capacity, pinned_capacity),
-            seed=seed,
-        )
-    _frame_tracer = tracer
-    return tracer
-
-
-def disable_frame_tracing() -> None:
-    global _frame_tracer
-    _frame_tracer = None
+    """The installed frame tracer, or None (all trace work is skipped)."""
+    return current().frame_tracer
 
 
 def trace_source(stream: "GeoStream") -> "GeoStream":

@@ -14,9 +14,9 @@ trees into dataflow order so exporters and waterfalls render pull and
 push runs identically.  Raw ``to_dicts()`` output keeps the original
 links.
 
-Tracing follows the same zero-cost rule as the registry: the engine calls
-:func:`current_tracer` once per pipeline open (not per chunk) and takes
-the untraced code path when it returns None.
+Tracing follows the same zero-cost rule as the registry: the tracer is
+one field of the installed :class:`~repro.obs.probe.Instruments` record,
+and the executors take the untraced code path when nothing is installed.
 """
 
 from __future__ import annotations
@@ -25,18 +25,19 @@ import threading
 import time
 from typing import TYPE_CHECKING, Optional
 
-from .registry import DEFAULT_BUCKETS, MetricsRegistry, get_registry, metrics_enabled
+from .probe import current
+from .registry import (
+    DEFAULT_BUCKETS,
+    Histogram,
+    MetricsRegistry,
+    get_registry,
+    metrics_enabled,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..operators.base import BinaryOperator, Operator
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "current_tracer",
-    "enable_tracing",
-    "disable_tracing",
-]
+__all__ = ["Span", "Tracer", "current_tracer"]
 
 
 class Span:
@@ -207,16 +208,20 @@ class Tracer:
             op.name, kind=kind, parent=parent, direction=direction, op=repr(op), **attrs
         )
 
-    def observe_operator(self, name: str, wall_s: float) -> None:
-        """Publish one processing duration into the shared registry."""
+    def operator_histogram(self, name: str) -> Histogram | None:
+        """The ``pipeline_op_seconds`` series for one operator name.
+
+        None while there is no registry to publish into; a stage probe
+        resolves this once and observes each processing duration.
+        """
         registry = self._registry
         if registry is None:
             if not metrics_enabled():
-                return
+                return None
             registry = get_registry()
-        registry.histogram(
+        return registry.histogram(
             "pipeline_op_seconds", buckets=DEFAULT_BUCKETS, operator=name
-        ).observe(wall_s)
+        )
 
     # -- stream linkage (parent spans across pipe() boundaries) ---------------
 
@@ -245,21 +250,6 @@ class Tracer:
         return len(self.spans)
 
 
-_tracer: Tracer | None = None
-
-
 def current_tracer() -> Tracer | None:
     """The active tracer, or None when tracing is off (the common case)."""
-    return _tracer
-
-
-def enable_tracing(tracer: Tracer | None = None) -> Tracer:
-    """Install (and return) the process-local tracer."""
-    global _tracer
-    _tracer = tracer if tracer is not None else Tracer()
-    return _tracer
-
-
-def disable_tracing() -> None:
-    global _tracer
-    _tracer = None
+    return current().tracer

@@ -15,19 +15,15 @@ stages nobody else needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
-from time import perf_counter
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..core.chunk import Chunk
 from ..core.columnar import resolve_columnar
-from ..core.provenance import Provenance
-from ..engine.pipeline import chunk_time
+from ..engine.pipeline import run_step
 from ..errors import PlanError
 from ..faults.recovery import current_recovery
-from ..obs.stats import StageStats, StatsCollector, current_collector
-from ..obs.trace import FrameTracer, TraceContext, current_frame_tracer
-from ..obs.tracing import Span, Tracer, current_tracer
+from ..obs.probe import Instruments, StageProbe, current
 from ..operators.base import BinaryOperator, Operator
 from .nodes import PlanNode
 
@@ -84,21 +80,7 @@ class Edge:
 class Stage:
     """One physical operator, shared by every query whose plan contains it."""
 
-    __slots__ = (
-        "node",
-        "op",
-        "outputs",
-        "subscribers",
-        "epochs",
-        "_dag",
-        "_span",
-        "_tracer",
-        "_stats",
-        "_collector",
-        "_prov",
-        "_ftracer",
-        "_tctx",
-    )
+    __slots__ = ("node", "op", "outputs", "subscribers", "epochs", "_dag", "_probe")
 
     def __init__(self, node: PlanNode, op: Operator | BinaryOperator, dag: "PlanDAG") -> None:
         self.node = node
@@ -110,73 +92,43 @@ class Stage:
         # that this never drifts from ``subscribers``.
         self.epochs: dict[int, int] = {}
         self._dag = dag
-        self._span: Span | None = None
-        self._tracer: Tracer | None = None
-        self._stats: StageStats | None = None
-        self._collector: StatsCollector | None = None
-        # Cumulative merged provenance of everything this stage has eaten;
-        # sound for buffering operators (outputs tagged with at-least the
-        # scans that could have contributed).
-        self._prov: Provenance | None = None
-        self._ftracer: FrameTracer | None = None
-        # Trace contexts consumed since the last emission (buffering
-        # operators hold inputs; their eventual outputs merge these).
-        self._tctx: list[TraceContext] = []
+        # Built on the first observed step, re-bound when the installed
+        # instruments change (the one cache of everything they derive).
+        self._probe: StageProbe | None = None
 
-    def _ensure_span(self, tracer: Tracer) -> Span:
-        """Lazily open this stage's span, parented on a consumer stage.
+    def _bound_probe(self, ins: Instruments) -> StageProbe:
+        """This stage's probe under ``ins``, its span opened on a consumer.
 
         Spans are per *physical* stage: a stage serving three queries has
         one span. In push execution data flows producer -> consumer, so
         the span tree mirrors the plan with sinks at the root.
         """
-        if self._span is None or self._tracer is not tracer:
+        probe = self._probe
+        if probe is None:
+            probe = self._probe = StageProbe(self.op, self.node)
+        if probe.ins is not ins:
+            probe.bind(ins)
+        if probe.span is None and ins.tracer is not None:
             parent = None
             for edge in self.outputs:
                 if edge.stage is not None:
-                    parent = edge.stage._ensure_span(tracer)
+                    parent = edge.stage._bound_probe(ins).span
                     break
-            self._span = tracer.begin_operator(
-                self.op,
-                parent=parent,
+            probe.open_span(
+                parent,
                 direction="consumer",
                 path="push",
                 shared=len(self.subscribers) > 1,
             )
-            self._tracer = tracer
-        return self._span
+        return probe
 
-    def _step(self, chunk: Chunk, side: str | None) -> list[Chunk]:
-        """One operator step; quarantines poison chunks under recovery."""
-        ctx = current_recovery()
-        if ctx is not None:
-            return ctx.guard(self.op, chunk, side)
-        return list(
-            self.op.process_side(side, chunk) if side is not None else self.op.process(chunk)
-        )
-
-    def _stats_entry(self, collector: StatsCollector) -> StageStats:
-        if self._stats is None or self._collector is not collector:
-            self._stats = collector.stage(
-                self.node.fingerprint,
-                label=self.node.describe(),
-                kind=type(self.node).__name__,
-            )
-            self._collector = collector
-        return self._stats
-
-    def _tag_outputs(self, chunk: Chunk | None, outs: list[Chunk]) -> list[Chunk]:
-        """Merge input provenance and stamp outputs with this stage's mark."""
-        if chunk is not None and chunk.provenance is not None:
-            self._prov = (
-                chunk.provenance
-                if self._prov is None
-                else self._prov.merge(chunk.provenance)
-            )
-        if self._prov is None or not outs:
-            return outs
-        tag = self._prov.with_stage(self.node.fingerprint)
-        return [dc_replace(c, provenance=tag) for c in outs]
+    def _step(self, chunk: Chunk | None, side: str | None) -> None:
+        """Run the operator once (``chunk`` None = flush) and fan out."""
+        ins = current()
+        probe = self._bound_probe(ins) if ins.steps else None
+        # Materialized before fan-out: a failing operator emits nothing.
+        for out in list(run_step(self.op, chunk, side, current_recovery(), probe)):
+            self._emit(out)
 
     def feed(self, chunk: Chunk, side: str | None = None) -> None:
         dag = self._dag
@@ -187,86 +139,7 @@ class Stage:
             if overlap > 1:
                 # This one execution stands in for `overlap` per-query ones.
                 dag.stats.chunks_saved += overlap - 1
-        tracer = current_tracer()
-        collector = current_collector()
-        ftracer = current_frame_tracer()
-        # Untraced chunks stay on the zero-cost path even while a frame
-        # tracer is installed: sampling happened at the source, and a
-        # chunk without a context must never trigger perf_counter.
-        frame_traced = ftracer is not None and chunk.trace is not None
-        if tracer is None and collector is None and not frame_traced:
-            for out in self._step(chunk, side):
-                self._emit(out)
-            return
-        t0 = perf_counter()
-        materialized = self._step(chunk, side)
-        t1 = perf_counter()
-        dt = t1 - t0
-        points_out = sum(c.n_points for c in materialized)
-        if tracer is not None:
-            span = self._ensure_span(tracer)
-            span.record(
-                points_in=chunk.n_points,
-                points_out=points_out,
-                chunks_out=len(materialized),
-                wall_s=dt,
-                stream_t=chunk_time(chunk),
-            )
-            tracer.observe_operator(self.op.name, dt)
-        if collector is not None:
-            self._stats_entry(collector).observe(
-                points_in=chunk.n_points,
-                points_out=points_out,
-                bytes_in=chunk.nbytes,
-                bytes_out=sum(c.nbytes for c in materialized),
-                chunks_out=len(materialized),
-                wall_s=dt,
-            )
-            if collector.provenance:
-                materialized = self._tag_outputs(chunk, materialized)
-        if frame_traced:
-            materialized = self._frame_hop(ftracer, chunk.trace, materialized, t0, t1, chunk.n_points, points_out)
-        for out in materialized:
-            self._emit(out)
-
-    def _frame_hop(
-        self,
-        ftracer: FrameTracer,
-        ctx: TraceContext,
-        materialized: list[Chunk],
-        t0: float,
-        t1: float,
-        points_in: int,
-        points_out: int,
-    ) -> list[Chunk]:
-        """Record one frame-trace hop at this stage and re-stamp outputs.
-
-        The hop key is the subplan fingerprint — the same key as this
-        stage's ``StageStats`` entry, so a waterfall bar links straight
-        to its aggregate exemplar.
-        """
-        fp = self.node.fingerprint
-        ftracer.record_hop(
-            ctx,
-            key=fp,
-            label=self.node.describe(),
-            kind="stage",
-            t0=t0,
-            t1=t1,
-            points_in=points_in,
-            points_out=points_out,
-            chunks_out=len(materialized),
-        )
-        if self._ftracer is not ftracer:
-            self._ftracer = ftracer
-            self._tctx = []
-        if not materialized:
-            self._tctx.append(ctx)
-            return materialized
-        ctxs = self._tctx + [ctx] if self._tctx else [ctx]
-        out_ctx = ftracer.output_ctx(ctxs, fp)
-        self._tctx = []
-        return [dc_replace(c, trace=out_ctx) for c in materialized]
+        self._step(chunk, side)
 
     def _emit(self, chunk: Chunk) -> None:
         active = self._dag._active
@@ -274,56 +147,8 @@ class Stage:
             if active is None or edge.accepts(active):
                 edge.deliver(chunk)
 
-    def _drain(self) -> list[Chunk]:
-        ctx = current_recovery()
-        if ctx is not None:
-            return ctx.guard_flush(self.op)
-        return list(self.op.flush())
-
     def flush(self) -> None:
-        tracer = current_tracer()
-        collector = current_collector()
-        ftracer = current_frame_tracer()
-        frame_traced = (
-            ftracer is not None and self._ftracer is ftracer and bool(self._tctx)
-        )
-        if tracer is None and collector is None and not frame_traced:
-            for out in self._drain():
-                self._emit(out)
-            return
-        t0 = perf_counter()
-        materialized = self._drain()
-        t1 = perf_counter()
-        dt = t1 - t0
-        points_out = sum(c.n_points for c in materialized)
-        if tracer is not None:
-            span = self._ensure_span(tracer)
-            span.record(
-                points_in=0,
-                points_out=points_out,
-                chunks_out=len(materialized),
-                wall_s=dt,
-                chunks_in=0,
-            )
-            span.finish()
-        if collector is not None:
-            self._stats_entry(collector).observe(
-                points_in=0,
-                points_out=points_out,
-                bytes_in=0,
-                bytes_out=sum(c.nbytes for c in materialized),
-                chunks_out=len(materialized),
-                wall_s=dt,
-                chunks_in=0,
-            )
-            if collector.provenance:
-                materialized = self._tag_outputs(None, materialized)
-        if frame_traced:
-            materialized = self._frame_hop(
-                ftracer, self._tctx[0], materialized, t0, t1, 0, points_out
-            )
-        for out in materialized:
-            self._emit(out)
+        self._step(None, None)
 
 
 class PlanDAG:

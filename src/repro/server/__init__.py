@@ -1,7 +1,6 @@
-"""DSMS server (Fig. 3): catalog, protocol, push compiler, sessions, router."""
+"""DSMS server (Fig. 3): catalog, protocol, sessions, router."""
 
 from .catalog import StreamCatalog
-from .compiler import PushNetwork, compile_push_network
 from .dsms import DSMSServer, RouterStats, source_prune_boxes
 from .protocol import Request, format_query_request, parse_request
 from .session import AggregateRecord, ClientSession, SessionCheckpoint
@@ -14,8 +13,6 @@ __all__ = [
     "render_top",
     "sparkline",
     "StreamCatalog",
-    "PushNetwork",
-    "compile_push_network",
     "DSMSServer",
     "RouterStats",
     "source_prune_boxes",

@@ -27,8 +27,8 @@ from ..index.naive import NaiveRegionIndex
 from ..obs.export import register_build_info
 from ..obs.registry import get_registry, metrics_enabled
 from ..obs.slo import SLOMonitor, SLOPolicy
+from ..obs.probe import current as current_instruments
 from ..obs.stats import StatsCollector, current_collector
-from ..obs.timeline import current_journal, current_metric_store
 from ..obs.trace import FrameTrace, current_frame_tracer
 from ..operators.base import Operator
 from ..operators.delivery import DeliveredFrame
@@ -767,15 +767,15 @@ class DSMSServer:
         """The end-to-end trace of one delivered frame.
 
         Requires a frame tracer to have been installed (see
-        :func:`repro.obs.trace.enable_frame_tracing` or
-        ``obs.observe(frame_trace=True)``) before the run, and the
+        ``obs.observe(frame_trace=True)`` or
+        ``obs.installed(frame_tracer=...)``) before the run, and the
         frame's chunks to have been sampled in.
         """
         trace = getattr(frame, "trace", None)
         if trace is None:
             raise ServerError(
                 "frame carries no trace; run under an installed frame tracer "
-                "(obs.observe(frame_trace=True) or enable_frame_tracing()) "
+                "(obs.observe(frame_trace=True) or obs.installed(frame_tracer=...)) "
                 "and a sample rate that admits its chunks"
             )
         return trace
@@ -790,7 +790,7 @@ class DSMSServer:
         if ftracer is None:
             raise ServerError(
                 "no frame tracer installed; recent_traces needs "
-                "obs.observe(frame_trace=True) or enable_frame_tracing()"
+                "obs.observe(frame_trace=True) or obs.installed(frame_tracer=...)"
             )
         key = query.session_id if isinstance(query, ClientSession) else query
         rid = self._session_to_reg.get(key, key)
@@ -1060,17 +1060,15 @@ class DSMSServer:
                 per_query,
             )
         ctx = self._recovery_ctx()
-        # Stage statistics / provenance are opt-in: one None check per run
-        # plus one per chunk when a collector is installed.
-        collector = current_collector()
-        # Frame tracing follows the same rule: tracer fetched once per run;
-        # with none installed the per-chunk cost is this one None check.
-        ftracer = current_frame_tracer()
-        # Timeline store and event journal: fetched once; per-chunk cost
-        # with nothing installed is two None checks (the store additionally
-        # rate-limits itself to its logical-clock cadence when present).
-        store = current_metric_store()
-        journal = current_journal()
+        # Every instrument is opt-in and read from the one slot once per
+        # run; with nothing installed the per-chunk cost is a None check
+        # each (the store additionally rate-limits itself to its
+        # logical-clock cadence when present).
+        instruments = current_instruments()
+        collector = instruments.stats
+        ftracer = instruments.frame_tracer
+        store = instruments.store
+        journal = instruments.journal
         monitor = self.slo_monitor
         slo_seen: dict[int, int] = {}
         slo_clock: dict[int, float] = {}

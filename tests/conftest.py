@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import GeoStream, GridLattice
 from repro.geo import LATLON, BoundingBox, goes_geostationary
 from repro.ingest import GOESImager, SyntheticEarth, western_us_sector
@@ -12,6 +15,21 @@ from repro.server import StreamCatalog
 
 # Mid-day over the western US so the visible band has signal.
 DAY_T0 = 72_000.0
+
+
+def install_frame_tracer(
+    sample_rate: float = 1.0, capacity: int = 16, seed: int = 0
+) -> obs.FrameTracer:
+    """Install a frame tracer beside whatever else is installed.
+
+    It stays installed; the calling module's autouse fixture tears down
+    with ``obs.install(obs.Instruments())``.
+    """
+    ftracer = obs.FrameTracer(
+        sample_rate=sample_rate, recorder=obs.FlightRecorder(capacity), seed=seed
+    )
+    obs.install(dataclasses.replace(obs.current_instruments(), frame_tracer=ftracer))
+    return ftracer
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,8 @@ EXAMPLES = [
     "archive_replay",
     "two_satellite_mosaic",
     "chaos_run",
+    "flight_recorder",
+    "explain_analyze",
 ]
 
 

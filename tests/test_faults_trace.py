@@ -21,6 +21,7 @@ from repro.faults import FAULT_KINDS, FaultSpec, harden_catalog, recovering
 from repro.geo import goes_geostationary
 from repro.ingest import GOESImager, SyntheticEarth, western_us_sector
 from repro.server import DSMSServer, StreamCatalog
+from tests.conftest import install_frame_tracer
 
 DAY_T0 = 72_000.0
 QUERY = "reflectance(goes.vis)"
@@ -33,9 +34,9 @@ else:
 
 @pytest.fixture(autouse=True)
 def _clean_trace_state():
-    obs.disable_frame_tracing()
+    obs.install(obs.Instruments())
     yield
-    obs.disable_frame_tracing()
+    obs.install(obs.Instruments())
 
 
 def make_catalog() -> StreamCatalog:
@@ -52,7 +53,7 @@ def make_catalog() -> StreamCatalog:
 
 
 def run_hardened(spec: FaultSpec, traced: bool):
-    ftracer = obs.enable_frame_tracing() if traced else None
+    ftracer = install_frame_tracer() if traced else None
     hardened, injector, ctx = harden_catalog(make_catalog(), spec)
     server = DSMSServer(hardened, recovery=ctx)
     session = server.register(QUERY, encode_png=False)
@@ -90,7 +91,7 @@ class TestChaosTraces:
         """Traced and untraced chaos runs are bit-identical twins."""
         spec = FaultSpec.single(kind, seed=SEEDS[0])
         session_a, injector_a, _, _ = run_hardened(spec, traced=False)
-        obs.disable_frame_tracing()
+        obs.install(obs.Instruments())
         session_b, injector_b, _, _ = run_hardened(spec, traced=True)
         assert injector_a.counts == injector_b.counts
         assert len(session_a.frames) == len(session_b.frames)

@@ -19,11 +19,11 @@ from repro.server import DSMSServer
 def _clean_obs_state():
     """Every test starts and ends with observability fully off and empty."""
     obs.disable_metrics()
-    obs.disable_tracing()
+    obs.install(obs.Instruments())
     obs.get_registry().reset()
     yield
     obs.disable_metrics()
-    obs.disable_tracing()
+    obs.install(obs.Instruments())
     obs.get_registry().reset()
 
 

@@ -24,25 +24,24 @@ from repro.obs.stats import Reservoir, format_lineage, lineage
 from repro.operators import AdaptiveLoadShedder
 from repro.plan import canonicalize, estimate_plan
 from repro.query import CalibrationProfile, CalibrationSample, optimize, parse_query
+from repro.query.planner import plan_query
 from repro.server import DSMSServer, StreamCatalog
 
 from tests.conftest import DAY_T0, sector_subbox
 
 Q_VRANGE = "vrange(reflectance(goes.vis), 0.0, 0.4)"
 Q_STRETCH = "stretch(reflectance(goes.vis), 'linear')"
+Q_NDVI = "stretch(ndvi(reflectance(goes.nir),reflectance(goes.vis)),'linear')"
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
     obs.disable_metrics()
-    obs.disable_tracing()
-    obs.disable_stats()
-    obs.disable_frame_tracing()
+    obs.install(obs.Instruments())
     obs.get_registry().reset()
     yield
     obs.disable_metrics()
-    obs.disable_tracing()
-    obs.disable_stats()
+    obs.install(obs.Instruments())
     obs.get_registry().reset()
 
 
@@ -161,6 +160,24 @@ class TestStageStatsViaDAG:
         server.run()
         assert session.frames
         assert all(lineage(f) is None for f in session.frames)
+
+
+class TestStageStatsViaPullPath:
+    @pytest.mark.parametrize("query", (Q_STRETCH, Q_NDVI), ids=("chain", "composition"))
+    def test_same_ledgers_with_and_without_a_tracer(self, catalog, query):
+        """The pull executor's traced branch used to ignore the collector."""
+
+        def ledgers(**instruments):
+            with obs.observe(stats=True, **instruments) as ob:
+                points = plan_query(parse_query(query), catalog.get).count_points()
+            return points, {fp: st.calls for fp, st in ob.stats.stages.items()}
+
+        plain = ledgers()
+        assert plain[0] > 0 and len(plain[1]) >= 2
+        assert all(calls > 1 for calls in plain[1].values())
+        assert not any(fp.startswith("pull:") for fp in plain[1])
+        assert ledgers(trace=True) == plain
+        assert ledgers(trace=True, frame_trace=True) == plain
 
 
 class TestCalibration:
@@ -404,8 +421,8 @@ class TestFastPathOverhead:
         def forbidden_timeline(*args, **kwargs):
             raise AssertionError("timeline touched with no store/journal installed")
 
-        monkeypatch.setattr("repro.plan.stages.perf_counter", forbidden)
-        monkeypatch.setattr("repro.engine.pipeline.perf_counter", forbidden)
+        # obs.probe is the one module that may time an operator step.
+        monkeypatch.setattr("repro.obs.probe.perf_counter", forbidden)
         monkeypatch.setattr("repro.obs.trace.perf_counter", forbidden)
         monkeypatch.setattr("repro.operators.delivery.perf_counter", forbidden)
         monkeypatch.setattr(
@@ -420,6 +437,7 @@ class TestFastPathOverhead:
         session = server.register(Q_VRANGE, encode_png=False)
         server.run()
         assert session.frames  # the run completed untimed
+        assert plan_query(parse_query(Q_NDVI), catalog.get).count_points() > 0
 
     def test_timed_path_does_use_perf_counter(self, catalog, monkeypatch):
         """Sanity check that the guard above actually guards something."""
@@ -427,12 +445,14 @@ class TestFastPathOverhead:
         def forbidden():
             raise AssertionError("timed")
 
-        monkeypatch.setattr("repro.plan.stages.perf_counter", forbidden)
+        monkeypatch.setattr("repro.obs.probe.perf_counter", forbidden)
         with obs.observe(stats=True):
             server = DSMSServer(catalog)
             server.register(Q_VRANGE, encode_png=False)
             with pytest.raises(AssertionError, match="timed"):
                 server.run()
+            with pytest.raises(AssertionError, match="timed"):
+                plan_query(parse_query(Q_NDVI), catalog.get).count_points()
 
     @staticmethod
     def _per_point_query(small_imager):

@@ -35,9 +35,9 @@ DAY_T0 = 72_000.0
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    obs.disable_frame_tracing()
+    obs.install(obs.Instruments())
     yield
-    obs.disable_frame_tracing()
+    obs.install(obs.Instruments())
 
 
 def make_catalog() -> StreamCatalog:
@@ -393,7 +393,7 @@ class TestChaosJournal:
     def test_journal_is_bit_identical_with_and_without_tracing(self, seed):
         """ISSUE acceptance: tracing must not perturb the journal at all."""
         untraced, (injector_a, _) = run_chaos_journal(seed, traced=False)
-        obs.disable_frame_tracing()
+        obs.install(obs.Instruments())
         traced, (injector_b, _) = run_chaos_journal(seed, traced=True)
         assert injector_a.counts == injector_b.counts
         assert untraced == traced  # byte-for-byte identical event streams

@@ -30,7 +30,7 @@ from repro.obs.trace import span_id_for
 from repro.operators import AdaptiveLoadShedder
 from repro.server import DSMSServer, StreamCatalog
 
-from tests.conftest import DAY_T0
+from tests.conftest import DAY_T0, install_frame_tracer
 
 Q_REFL = "reflectance(goes.vis)"
 Q_STRETCH = "stretch(reflectance(goes.vis), 'linear')"
@@ -39,18 +39,14 @@ Q_STRETCH = "stretch(reflectance(goes.vis), 'linear')"
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
     obs.disable_metrics()
-    obs.disable_tracing()
-    obs.disable_stats()
-    obs.disable_frame_tracing()
+    obs.install(obs.Instruments())
     obs.get_registry().reset()
     yield
-    obs.disable_frame_tracing()
+    obs.install(obs.Instruments())
 
 
 def run_traced(catalog, *queries, sample_rate=1.0, capacity=16, seed=0):
-    ftracer = obs.enable_frame_tracing(
-        sample_rate=sample_rate, capacity=capacity, seed=seed
-    )
+    ftracer = install_frame_tracer(sample_rate=sample_rate, capacity=capacity, seed=seed)
     server = DSMSServer(catalog)
     sessions = [server.register(q, encode_png=False) for q in queries]
     server.run()
@@ -122,11 +118,11 @@ class TestSampling:
 
     def test_fractional_rate_is_seed_deterministic(self, catalog, small_imager):
         def traced_count(seed):
-            obs.disable_frame_tracing()
+            obs.install(obs.Instruments())
             cat = StreamCatalog()
             cat.register_imager(small_imager)
             _, _, ftracer = run_traced(cat, Q_REFL, sample_rate=0.5, seed=seed)
-            obs.disable_frame_tracing()
+            obs.install(obs.Instruments())
             return ftracer.chunks_traced
 
         a, b = traced_count(7), traced_count(7)
@@ -138,8 +134,8 @@ class TestSampling:
         def forbidden():
             raise AssertionError("perf_counter on sampled-out path")
 
-        obs.enable_frame_tracing(sample_rate=0.0)
-        monkeypatch.setattr("repro.plan.stages.perf_counter", forbidden)
+        install_frame_tracer(sample_rate=0.0)
+        monkeypatch.setattr("repro.obs.probe.perf_counter", forbidden)
         monkeypatch.setattr("repro.operators.delivery.perf_counter", forbidden)
         server = DSMSServer(catalog)
         session = server.register(Q_REFL, encode_png=False)
@@ -169,7 +165,6 @@ class TestFlightRecorder:
     def test_recorder_metrics_published(self, catalog):
         with obs.observe():
             run_traced(catalog, Q_REFL, capacity=1)
-            obs.disable_frame_tracing()
             names = {m["name"] for m in obs.get_registry().snapshot()}
         assert "repro_trace_chunks_total" in names
         assert "repro_trace_frames_total" in names
@@ -234,7 +229,7 @@ def make_stall_server():
 
 class TestAutoPinning:
     def test_slo_breach_pins_the_breaching_frame(self):
-        ftracer = obs.enable_frame_tracing()
+        ftracer = install_frame_tracer()
         server, session, ctx, injector = make_stall_server()
         with recovering(ctx):
             server.run()
@@ -251,7 +246,7 @@ class TestAutoPinning:
         assert ftracer.is_breached(rid)
 
     def test_breached_query_forces_sampling_on(self):
-        ftracer = obs.enable_frame_tracing(sample_rate=0.0)
+        ftracer = install_frame_tracer(sample_rate=0.0)
         server, session, ctx, injector = make_stall_server()
         with recovering(ctx):
             server.run()
@@ -261,7 +256,7 @@ class TestAutoPinning:
         assert ftracer.chunks_traced > 0
 
     def test_quarantine_pins_a_partial_trace(self):
-        ftracer = obs.enable_frame_tracing()
+        ftracer = install_frame_tracer()
         spec = FaultSpec(seed=101, drop=0.1)
         hardened, injector, ctx = harden_catalog(make_stall_catalog(), spec)
         server = DSMSServer(hardened, recovery=ctx)

@@ -35,12 +35,10 @@ N_FRAMES = 6
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
-    obs.disable_stats()
-    obs.disable_frame_tracing()
+    obs.install(obs.Instruments())
     obs.get_registry().reset()
     yield
-    obs.disable_stats()
-    obs.disable_frame_tracing()
+    obs.install(obs.Instruments())
     obs.get_registry().reset()
 
 
@@ -431,11 +429,9 @@ class TestAdaptivePolicyUnit:
 class TestTraceEpochIdentity:
     def test_swap_window_pins_both_sides(self, epoch_imager):
         # Sample rate 0: only the swap window can force traces in.
-        ftracer = obs.enable_frame_tracing(sample_rate=0.0)
-        try:
+        ftracer = obs.FrameTracer(sample_rate=0.0)
+        with obs.installed(frame_tracer=ftracer):
             server, session = run_with_swap(epoch_imager)
-        finally:
-            obs.disable_frame_tracing()
         pinned = ftracer.recorder.pinned
         assert pinned, "epoch swap must auto-pin the transition window"
         swap_marked = [
@@ -448,11 +444,8 @@ class TestTraceEpochIdentity:
         assert ftracer.chunks_traced > 0  # the window forced sampling on
 
     def test_post_swap_frames_annotated_with_epoch(self, epoch_imager):
-        obs.enable_frame_tracing(sample_rate=1.0)
-        try:
+        with obs.installed(frame_tracer=obs.FrameTracer(sample_rate=1.0)):
             server, session = run_with_swap(epoch_imager)
-        finally:
-            obs.disable_frame_tracing()
         by_epoch = {1: [], 2: []}
         for frame in session.frames:
             assert frame.trace is not None

@@ -20,7 +20,6 @@ from repro.plan import (
     plan_to_stream,
 )
 from repro.query import ast as q, plan_query
-from repro.server import compile_push_network
 
 from .conftest import sector_subbox
 
@@ -178,9 +177,9 @@ class TestLoweringParity:
         pull_frames = plan_query(tree, sources).collect_frames()
 
         received = []
-        network = compile_push_network(
-            tree, received.append, source_crs=dict(catalog.crs_of())
-        )
+        network = PlanDAG()
+        plan = canonicalize(tree, crs_of=dict(catalog.crs_of()))
+        network.add_plan(plan, received.append, root_id=0)
         for sid, chunk in merge_sources({"goes.vis": catalog.get("goes.vis")}):
             network.feed(sid, chunk)
         network.flush()

@@ -41,14 +41,21 @@ def test_rl001_flags_from_import(tmp_path):
 def test_rl001_allows_timing_in_obs_and_server(tmp_path):
     src = "import time\n\ndef f():\n    return time.perf_counter()\n"
     for rel in (
+        "src/repro/obs/probe.py",
         "src/repro/obs/trace.py",
         "src/repro/server/dsms.py",
         "src/repro/engine/scheduler.py",
         "src/repro/cli.py",
-        "src/repro/plan/stages.py",
         "src/repro/operators/delivery.py",
     ):
         assert lint_source(tmp_path, rel, src) == []
+
+
+def test_rl001_forbids_timing_in_both_executors(tmp_path):
+    # Only repro.obs.probe may time an operator step.
+    src = "from time import perf_counter\n"
+    for rel in ("src/repro/plan/stages.py", "src/repro/engine/pipeline.py"):
+        assert codes(lint_source(tmp_path, rel, src)) == ["RL001"]
 
 
 def test_rl001_ignores_files_outside_the_library(tmp_path):

@@ -6,11 +6,11 @@ import pytest
 from repro.errors import PlanError, ProtocolError, ServerError
 from repro.geo import BoundingBox
 from repro.index import GridRegionIndex, NaiveRegionIndex
+from repro.plan import PlanDAG, canonicalize
 from repro.query import ast as q
 from repro.server import (
     DSMSServer,
     StreamCatalog,
-    compile_push_network,
     format_query_request,
     parse_request,
     source_prune_boxes,
@@ -64,6 +64,13 @@ class TestProtocol:
             parse_request("DELETE /query/abc").session_id
 
 
+def push_dag(tree, sink):
+    """One query wired into its own push DAG, results pushed to ``sink``."""
+    dag = PlanDAG()
+    dag.add_plan(canonicalize(tree), sink, root_id=0)
+    return dag
+
+
 class TestPushNetwork:
     def test_equivalent_to_pull_plan(self, small_imager, catalog):
         """Push execution produces the same frames as pull execution."""
@@ -79,7 +86,7 @@ class TestPushNetwork:
         pull_frames = plan_query(tree, sources).collect_frames()
 
         received = []
-        network = compile_push_network(tree, received.append)
+        network = push_dag(tree, received.append)
         from repro.engine.scheduler import merge_sources
 
         for sid, chunk in merge_sources(sources):
@@ -91,7 +98,7 @@ class TestPushNetwork:
             np.testing.assert_allclose(a.values, b.values, atol=1e-6, equal_nan=True)
 
     def test_feed_after_flush_rejected(self, small_imager, catalog):
-        network = compile_push_network(q.StreamRef("goes.vis"), lambda c: None)
+        network = push_dag(q.StreamRef("goes.vis"), lambda c: None)
         network.flush()
         chunk = catalog.get("goes.vis").collect_chunks(limit=1)[0]
         with pytest.raises(PlanError):
@@ -99,7 +106,7 @@ class TestPushNetwork:
 
     def test_source_ids(self):
         tree = q.Compose(q.StreamRef("a"), q.StreamRef("b"), "+")
-        network = compile_push_network(tree, lambda c: None)
+        network = push_dag(tree, lambda c: None)
         assert network.source_ids == ["a", "b"]
 
 

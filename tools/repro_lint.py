@@ -10,9 +10,11 @@ Rules:
   observability acceptance bar is that disabled tracing costs nothing;
   ``time.perf_counter``/``time.monotonic``/``time.time`` may only be
   referenced from the modules that are *allowed* to time things (obs,
-  engine, plan/stages, operators/delivery, faults, server, cli). A
-  timing call creeping into e.g. ``repro.core`` or an operator kernel
-  silently taxes every chunk.
+  engine/scheduler, operators/delivery, faults, server, cli). The two
+  executors (``plan/stages.py``, ``engine/pipeline.py``) are not among
+  them: an operator step is timed by ``repro.obs.probe`` alone. A timing
+  call creeping into e.g. ``repro.core`` or an operator kernel silently
+  taxes every chunk.
 * **RL002 — no cross-package underscore imports.** ``from ..pkg import
   _private`` couples packages to names that are free to change; private
   helpers may only be imported within their own package.
@@ -58,16 +60,16 @@ __all__ = ["Violation", "lint_file", "lint_paths", "main"]
 TIMING_NAMES = frozenset({"perf_counter", "monotonic", "perf_counter_ns", "monotonic_ns"})
 TIMING_TIME_ATTRS = TIMING_NAMES | {"time"}
 
-# Modules allowed to reference wall clocks: the observability layer, the
-# instrumented engine/DAG executors, fault recovery (op timeouts), the
-# server, and the CLI. Everything else under src/repro is fast path.
+# Modules allowed to reference wall clocks: the observability layer (its
+# probe times every operator step for both executors), the source-merge
+# scheduler, fault recovery (op timeouts), the server, and the CLI.
+# Everything else under src/repro is fast path.
 TIMING_ALLOWED = (
     "src/repro/obs/",
-    "src/repro/engine/",
+    "src/repro/engine/scheduler.py",
     "src/repro/faults/",
     "src/repro/server/",
     "src/repro/cli.py",
-    "src/repro/plan/stages.py",
     "src/repro/operators/delivery.py",
 )
 
