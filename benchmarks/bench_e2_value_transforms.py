@@ -12,9 +12,9 @@ from repro.operators import CountsToReflectance, FrameStretch
 
 from conftest import BENCH_SMOKE, columnar_speedup, make_imager, write_bench_snapshot
 
-# Columnar-speedup workload: a narrow, tall, multi-frame sector delivered
+# Kernel-speedup workload: a narrow, tall, multi-frame sector delivered
 # row by row — the many-small-chunks regime whose per-chunk dispatch cost
-# the columnar kernels exist to eliminate.
+# the batch kernels exist to eliminate.
 SPEEDUP_SECTOR = (48, 64) if BENCH_SMOKE else (64, 256)
 SPEEDUP_FRAMES = 2 if BENCH_SMOKE else 6
 SPEEDUP_REPEATS = 3 if BENCH_SMOKE else 5
@@ -74,8 +74,9 @@ def test_stretch_kinds_throughput(benchmark, claims, scene, geos_crs, kind):
 
 
 def test_columnar_pointwise_speedup(claims, scene, geos_crs):
-    """Columnar batch kernels vs the per-point oracle on a row-chunked
-    radiometric calibration (the archetypal pointwise value transform)."""
+    """Batch kernels vs the per-point reference (tests/reference/) on a
+    row-chunked radiometric calibration (the archetypal pointwise value
+    transform)."""
     imager = make_imager(scene, geos_crs, *SPEEDUP_SECTOR, n_frames=SPEEDUP_FRAMES)
     pointwise = columnar_speedup(
         imager, "vis", lambda: [CountsToReflectance(bits=10)], SPEEDUP_REPEATS

@@ -79,8 +79,8 @@ def test_rotation_buffers_full_frame(benchmark, claims, scene, geos_crs):
 
 
 def test_columnar_coarsen_speedup(claims, scene, geos_crs):
-    """Columnar band-batched reduction vs the per-point oracle on a
-    row-chunked 1/4-resolution decrease."""
+    """Band-batched reduction vs the per-point reference
+    (tests/reference/) on a row-chunked 1/4-resolution decrease."""
     imager = make_imager(scene, geos_crs, *SPEEDUP_SECTOR, n_frames=SPEEDUP_FRAMES)
     coarsen = columnar_speedup(imager, "vis", lambda: [Coarsen(4)], SPEEDUP_REPEATS)
     magnify = columnar_speedup(imager, "vis", lambda: [Magnify(2)], SPEEDUP_REPEATS)

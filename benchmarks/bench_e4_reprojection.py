@@ -85,10 +85,11 @@ def test_blocking_hazard_without_metadata(benchmark, claims, scene, geos_crs):
 
 
 def test_columnar_reprojection_speedup(claims, scene, geos_crs):
-    """Columnar deferred batched sampling vs the per-row oracle on a
-    row-chunked geostationary -> UTM re-projection. The frame navigation
-    (inverse-projected coordinates) is cached across identical frames in
-    columnar mode, so multi-frame streams amortize it away."""
+    """Deferred batched sampling vs the per-row reference
+    (tests/reference/) on a row-chunked geostationary -> UTM
+    re-projection. Production memoizes the frame navigation
+    (inverse-projected coordinates) across identical frames, so
+    multi-frame streams amortize it away."""
     imager = make_imager(scene, geos_crs, *SPEEDUP_SECTOR, n_frames=SPEEDUP_FRAMES)
     to_utm = columnar_speedup(
         imager, "vis", lambda: [Reproject(utm(10))], SPEEDUP_REPEATS

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -23,6 +24,11 @@ from repro.ingest import GOESImager, SyntheticEarth, western_us_sector
 DAY_T0 = 72_000.0
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# The speed-up harness times production against tests/reference/.
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+from tests.reference import reference_kernels  # noqa: E402
 
 # Reduced-size mode for CI's bench-smoke job: set REPRO_BENCH_SMOKE=1 and
 # benchmarks shrink their workloads (fewer queries, smaller sectors) while
@@ -120,30 +126,35 @@ def bench_imager(scene, geos_crs) -> GOESImager:
     return make_imager(scene, geos_crs)
 
 
-# Columnar-vs-oracle speedup harness (experiments E2-E4). The stream is
-# materialized once so both execution modes time *operator* cost, not the
-# synthetic imager; best-of-N wall time is the noise floor, as in F6.
-# Differential tests (tests/test_columnar_differential.py) already pin the
-# two modes to bit-identical outputs and stats, so the benchmark only has
-# to sanity-check the chunk count.
+# Production-vs-reference speedup harness (experiments E2-E4): the batch
+# kernels in src/ against the per-point reference in tests/reference/
+# (snapshot keys keep their historical names: oracle_s is the reference,
+# columnar_s production). The stream is materialized once so both sides
+# time *operator* cost, not the synthetic imager; best-of-N wall time is
+# the noise floor, as in F6. Differential tests
+# (tests/test_columnar_differential.py) already pin the two to
+# bit-identical outputs and stats, so the benchmark only has to
+# sanity-check the chunk count.
 def columnar_speedup(imager, band: str, make_ops, repeats: int) -> dict:
     base = imager.stream(band)
     chunks = base.collect_chunks()
     meta = base.metadata
-    seconds = {}
-    chunks_out = {}
-    for columnar in (False, True):
+
+    def best_of() -> tuple[float, int]:
         best = float("inf")
         count = 0
         for _ in range(repeats):
-            stream = GeoStream.from_chunks(meta, chunks).pipe(
-                *make_ops(), columnar=columnar
-            )
+            stream = GeoStream.from_chunks(meta, chunks).pipe(*make_ops())
             t0 = time.perf_counter()
             count = len(stream.collect_chunks())
             best = min(best, time.perf_counter() - t0)
-        seconds[columnar] = best
-        chunks_out[columnar] = count
+        return best, count
+
+    seconds = {}
+    chunks_out = {}
+    with reference_kernels():
+        seconds[False], chunks_out[False] = best_of()
+    seconds[True], chunks_out[True] = best_of()
     assert chunks_out[False] == chunks_out[True]
     return {
         "chunks_in": len(chunks),

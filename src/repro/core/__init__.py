@@ -17,12 +17,8 @@ from .columnar import (
     BandAccumulator,
     ColumnBuffer,
     FrameAccumulator,
-    MaskBuffer,
     RollingCanvas,
-    columnar_default,
     coordinate_columns,
-    numpy_backend,
-    resolve_columnar,
 )
 from .image import RasterImage, assemble_frames
 from .lattice import GridLattice
@@ -61,14 +57,10 @@ __all__ = [
     "fast_grid_replace",
     "fast_replace_values",
     "ColumnBuffer",
-    "MaskBuffer",
     "FrameAccumulator",
     "BandAccumulator",
     "RollingCanvas",
-    "columnar_default",
     "coordinate_columns",
-    "numpy_backend",
-    "resolve_columnar",
     "RasterImage",
     "assemble_frames",
     "GridLattice",

@@ -165,7 +165,7 @@ class GridChunk:
 
 # -- fast (unchecked) constructors -------------------------------------------
 #
-# The columnar kernels derive thousands of chunks per frame whose shapes
+# The batch kernels derive thousands of chunks per frame whose shapes
 # are known correct by construction (slices of already-validated chunks,
 # or batch outputs sized from the target lattice). ``dataclasses.replace``
 # re-runs ``__post_init__`` — an ``asarray`` plus two shape checks — on
@@ -174,7 +174,7 @@ class GridChunk:
 # (provenance/trace carried over) without the re-validation. Only kernels
 # that have already established the shape invariant may use them; the one
 # guard kept in ``fast_replace_values`` is the cheap lattice-shape compare
-# so corrupted (fault-injected) values still fail exactly like the oracle.
+# so corrupted (fault-injected) values still fail exactly like the reference.
 
 
 def fast_grid_chunk(
@@ -216,7 +216,7 @@ def fast_replace_values(chunk: GridChunk, values: np.ndarray, band: str | None =
     """``chunk.with_values`` minus the asarray round-trip.
 
     Keeps the lattice-shape guard (one tuple compare) so shape-corrupting
-    faults raise :class:`StreamError` exactly as the per-point path does.
+    faults raise :class:`StreamError` exactly as the per-point reference does.
     """
     if values.shape[:2] != chunk.lattice.shape:
         raise StreamError(

@@ -1,84 +1,47 @@
-"""Columnar execution buffers (the vectorized kernels' storage layer).
+"""Column buffers and bounded memos (the batch kernels' storage layer).
 
-The per-point oracle implementations in :mod:`repro.operators` derive one
-small Python object per row (``subwindow`` → ``dataclasses.replace`` →
-``__post_init__`` validation) and run one small numpy call per chunk.
-Columnar mode replaces that churn with *contiguous column buffers* —
-coordinates, values, and validity masks each live in one flat allocation
-— so whole frames and row bands are transformed by single batch
-operations.
+The operators in :mod:`repro.operators` are whole-chunk / whole-run batch
+kernels. Instead of deriving one small Python object per row
+(``subwindow`` → ``dataclasses.replace`` → ``__post_init__`` validation)
+they keep *contiguous column buffers* — coordinates, values and frame
+canvases each live in one flat allocation — so whole frames and row
+bands are transformed by single batch operations.
 
-Two storage backends sit behind the same :class:`ColumnBuffer` API:
+:class:`ColumnBuffer` stores a column in an :class:`array.array` and
+exposes it to kernels as a zero-copy numpy view (dtypes ``array`` cannot
+hold fall back to an ndarray). Every kernel *computes* through numpy
+views over those bytes, performing the same elementwise float
+operations, in the same dtype and the same element order, as the
+per-point reference in ``tests/reference/`` — delivered chunks are
+bit-identical, not approximately equal (see ``docs/columnar.md`` and
+``tests/test_columnar_differential``).
 
-* the default backend stores columns in :class:`array.array` objects and
-  exposes them to kernels as zero-copy ``memoryview``/``numpy`` views;
-* setting ``REPRO_NUMPY=1`` switches allocation to native numpy arrays
-  (one fewer indirection on platforms where that matters).
-
-Either way, every kernel *computes* through numpy views over the same
-bytes, which is what makes the oracle-equivalence contract exact: the
-columnar kernels perform the same elementwise float operations, in the
-same dtype and the same element order, as the per-point implementations
-they replace — delivered chunks are bit-identical, not approximately
-equal (see ``docs/columnar.md`` and ``tests/test_columnar_differential``).
-
-Execution-mode selection lives here too: ``resolve_columnar`` combines an
-explicit ``columnar=`` argument (pipelines, plan lowering, ``PlanDAG``,
-``DSMSServer``) with the ``REPRO_COLUMNAR`` environment default used by
-the CI matrix leg that runs the whole suite in columnar mode.
+Geometry that is a pure function of a (frozen, content-compared) lattice
+is kept in :class:`Memo` tables with constant bounds, so an operator's
+memory does not grow with the number of distinct lattices it has seen.
 
 This module is timing-free and mypy-strict; it never imports operators.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .lattice import GridLattice
 
 __all__ = [
-    "numpy_backend",
-    "columnar_default",
-    "resolve_columnar",
     "ColumnBuffer",
-    "MaskBuffer",
     "FrameAccumulator",
     "BandAccumulator",
     "RollingCanvas",
+    "Memo",
+    "ROW_MEMO_MAX",
+    "FRAME_MEMO_MAX",
     "coordinate_columns",
 ]
-
-# Environment flags. Read per call (not cached at import) so test suites
-# can flip modes with monkeypatch.setenv without reload gymnastics.
-_NUMPY_ENV = "REPRO_NUMPY"
-_COLUMNAR_ENV = "REPRO_COLUMNAR"
-
-_FALSY = ("", "0", "false", "no", "off")
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in _FALSY
-
-
-def numpy_backend() -> bool:
-    """True when ``REPRO_NUMPY=1`` selects native ndarray column storage."""
-    return _env_flag(_NUMPY_ENV)
-
-
-def columnar_default() -> bool:
-    """Process-wide default execution mode (``REPRO_COLUMNAR=1``)."""
-    return _env_flag(_COLUMNAR_ENV)
-
-
-def resolve_columnar(explicit: bool | None = None) -> bool:
-    """Resolve an execution-mode request: explicit flag wins, else env."""
-    if explicit is not None:
-        return bool(explicit)
-    return columnar_default()
-
 
 # numpy dtype -> array.array typecode for the stdlib storage backend.
 # Anything outside this table (e.g. float16) falls back to ndarray storage.
@@ -99,11 +62,9 @@ _TYPECODES: dict[str, str] = {
 class ColumnBuffer:
     """One contiguous, fixed-capacity column of scalar values.
 
-    The storage is an :class:`array.array` (exposed zero-copy through a
-    ``memoryview``) or, with ``REPRO_NUMPY=1``, a native numpy array.
-    Kernels always read and write through :meth:`view`, a flat ndarray
-    aliasing the buffer's bytes, so arithmetic is identical across
-    backends.
+    The storage is an :class:`array.array` exposed zero-copy through a
+    ``memoryview``; kernels always read and write through :meth:`view`, a
+    flat ndarray aliasing the buffer's bytes.
     """
 
     __slots__ = ("dtype", "capacity", "_store", "_view")
@@ -111,7 +72,7 @@ class ColumnBuffer:
     def __init__(self, dtype: np.dtype | type, capacity: int) -> None:
         self.dtype = np.dtype(dtype)
         self.capacity = int(capacity)
-        code = _TYPECODES.get(self.dtype.str.lstrip("<>|=")) if not numpy_backend() else None
+        code = _TYPECODES.get(self.dtype.str.lstrip("<>|="))
         if code is None:
             self._store: array | np.ndarray = np.zeros(self.capacity, dtype=self.dtype)
             self._view = self._store
@@ -131,34 +92,13 @@ class ColumnBuffer:
         return self.capacity * self.dtype.itemsize
 
 
-class MaskBuffer:
-    """A contiguous validity-mask column (uint8-backed booleans)."""
-
-    __slots__ = ("_buf",)
-
-    def __init__(self, capacity: int) -> None:
-        self._buf = ColumnBuffer(np.uint8, capacity)
-
-    def store(self, mask: np.ndarray) -> np.ndarray:
-        """Copy a boolean mask into the buffer; return the stored view."""
-        flat = self._buf.view()[: mask.size]
-        flat[:] = mask.reshape(-1)
-        return flat.view(np.bool_).reshape(mask.shape)
-
-    def view(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = 1
-        for dim in shape:
-            n *= dim
-        return self._buf.view()[:n].view(np.bool_).reshape(shape)
-
-
 class FrameAccumulator:
     """Growable float64 column accumulating one frame's values in order.
 
     ``append`` pastes a chunk's values at the running offset; assignment
-    into the float64 view performs exactly the cast the per-point oracle
+    into the float64 view performs exactly the cast the per-point reference
     does with ``values.astype(np.float64).ravel()``, so :meth:`values`
-    equals the oracle's ``np.concatenate`` of per-chunk casts bit for bit.
+    equals the reference's ``np.concatenate`` of per-chunk casts bit for bit.
     """
 
     __slots__ = ("_buf", "_size")
@@ -201,7 +141,7 @@ class FrameAccumulator:
 class BandAccumulator:
     """A k-row band of same-width rows in the source dtype (for Coarsen).
 
-    Equivalent to the oracle's ``np.vstack`` of k buffered row chunks,
+    Equivalent to the reference's ``np.vstack`` of k buffered row chunks,
     built incrementally with one paste per row instead of k chunk objects.
     """
 
@@ -236,9 +176,9 @@ class RollingCanvas:
     """A NaN-initialized float64 frame canvas (for resampling operators).
 
     Source rows are pasted once on arrival (at their column offset, so
-    partial rows behave like the oracle's per-row paste) and output rows
+    partial rows behave like the reference's per-row paste) and output rows
     slice a contiguous row-band window. Rows that never arrive stay NaN —
-    the oracle's "missing row" representation.
+    the reference's "missing row" representation.
     """
 
     __slots__ = ("height", "width", "_buf")
@@ -267,32 +207,64 @@ class RollingCanvas:
         return self.grid()[lo:hi]
 
 
-# -- shared geometry caches ---------------------------------------------------
+# -- bounded geometry memos ---------------------------------------------------
 #
-# Lattices are frozen (hashable, content-compared) so coordinate columns
-# derived from them are content-keyed: a cache hit returns bit-identical
-# arrays to recomputation. Row-by-row streams repeat the same row lattices
-# every frame, which is what makes these caches pay.
+# Lattices are frozen (hashable, content-compared), so anything derived
+# from one is content-keyed: a memo hit returns exactly what recomputation
+# would. Row-by-row streams repeat the same row lattices every frame,
+# which is what makes the memos pay; a stream whose lattices keep moving
+# (an airborne camera) would grow them one entry per frame forever, so
+# every memo has a constant bound and is emptied when it reaches it.
 
-_COORD_CACHE: dict[GridLattice, tuple[np.ndarray, np.ndarray]] = {}
-_COORD_CACHE_MAX = 4096
+# Memos keyed by chunk (row) lattices: a sector's rows all fit, many times.
+ROW_MEMO_MAX = 4096
+# Memos whose entries are frame-sized arrays: a few alternating sectors.
+FRAME_MEMO_MAX = 4
+
+_K = TypeVar("_K")
+_V = TypeVar("_V")
+
+
+class Memo(dict[_K, _V]):
+    """Get-or-compute table with a constant bound: ``memo[key]``.
+
+    A hit is a plain dict lookup; a miss computes, stores and returns the
+    value, first clearing the whole table if it already holds ``bound``
+    entries.
+    """
+
+    __slots__ = ("_compute", "_bound")
+
+    def __init__(self, compute: Callable[[_K], _V], bound: int) -> None:
+        super().__init__()
+        self._compute = compute
+        self._bound = bound
+
+    def __missing__(self, key: _K) -> _V:
+        if len(self) >= self._bound:
+            self.clear()
+        value = self[key] = self._compute(key)
+        return value
+
+
+def _coordinate_columns(lattice: GridLattice) -> tuple[np.ndarray, np.ndarray]:
+    mx, my = lattice.meshgrid()
+    xs = ColumnBuffer(np.float64, mx.size)
+    ys = ColumnBuffer(np.float64, my.size)
+    xs.view()[:] = mx.reshape(-1)
+    ys.view()[:] = my.reshape(-1)
+    return xs.view().reshape(mx.shape), ys.view().reshape(my.shape)
+
+
+_COORD_MEMO: Memo[GridLattice, tuple[np.ndarray, np.ndarray]] = Memo(
+    _coordinate_columns, ROW_MEMO_MAX
+)
 
 
 def coordinate_columns(lattice: GridLattice) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (x, y) coordinate arrays of ``lattice.meshgrid()``.
+    """Memoized (x, y) coordinate arrays of ``lattice.meshgrid()``.
 
     The arrays are materialized once into contiguous column buffers and
     shared by reference afterwards; callers must not mutate them.
     """
-    cached = _COORD_CACHE.get(lattice)
-    if cached is None:
-        if len(_COORD_CACHE) >= _COORD_CACHE_MAX:
-            _COORD_CACHE.clear()
-        mx, my = lattice.meshgrid()
-        xs = ColumnBuffer(np.float64, mx.size)
-        ys = ColumnBuffer(np.float64, my.size)
-        xs.view()[:] = mx.reshape(-1)
-        ys.view()[:] = my.reshape(-1)
-        cached = (xs.view().reshape(mx.shape), ys.view().reshape(my.shape))
-        _COORD_CACHE[lattice] = cached
-    return cached
+    return _COORD_MEMO[lattice]

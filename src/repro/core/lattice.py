@@ -39,7 +39,7 @@ class GridLattice:
         if self.dx == 0.0 or self.dy == 0.0:
             raise LatticeError("lattice resolution must be non-zero in both axes")
 
-    # Lattices key the columnar kernels' caches (masks, derived lattices,
+    # Lattices key the kernels' memos (masks, derived lattices,
     # navigation grids), where equal-but-not-identical row lattices recur
     # once per frame. Hand-written comparison short-circuits on the cheap
     # integer fields and the hash is memoized per instance.

@@ -102,17 +102,16 @@ class GeoStream:
 
     # -- composition with operators -----------------------------------------------
 
-    def pipe(self, *operators: "Operator", columnar: bool | None = None) -> "GeoStream":
+    def pipe(self, *operators: "Operator") -> "GeoStream":
         """Apply operators in sequence, yielding a new GeoStream (closure).
 
         The query algebra is closed — "the result of applying an operator
         to one or two GeoStreams is again a GeoStream" — so ``pipe``
-        returns a stream that can itself be piped further. ``columnar``
-        selects the execution mode (None: the ``REPRO_COLUMNAR`` default).
+        returns a stream that can itself be piped further.
         """
         from ..engine.pipeline import apply_operators
 
-        return apply_operators(self, list(operators), columnar=columnar)
+        return apply_operators(self, list(operators))
 
     # -- materialization ----------------------------------------------------------
 

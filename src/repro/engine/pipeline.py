@@ -21,7 +21,6 @@ from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..core.chunk import Chunk, chunk_time
-from ..core.columnar import resolve_columnar
 from ..core.stream import GeoStream
 from ..errors import StreamError
 from ..faults.recovery import current_recovery
@@ -66,28 +65,39 @@ def _epoch_guard(
         yield chunk
 
 
-# Block size for the columnar pull executor. Large enough to amortize
-# per-block overhead and expose cross-chunk batching to process_many
-# overrides, small enough to keep the pipeline streaming (a 256-row block
-# of 1-row chunks is a few frames, not the whole scan).
+# Block bounds for the bare pull executor: a block holds up to
+# _BLOCK_CHUNKS chunks — enough to amortize per-block overhead and expose
+# cross-chunk batching to process_many overrides — but no more than fit in
+# _BLOCK_POINTS. The point budget is what keeps the pipeline streaming
+# whatever the chunk size: read-ahead is a constant number of points (256
+# rows of a 1024-wide sector), not 256 whole frames of an image-by-image
+# stream.
 _BLOCK_CHUNKS = 256
+_BLOCK_POINTS = 1 << 18
+
+
+def _blocks(chunks: Iterable[Chunk]) -> Iterator[list[Chunk]]:
+    it = iter(chunks)
+    for first in it:
+        # A stream's chunks share one size (a row, a frame, a point batch),
+        # so a block's first chunk sizes it and the rest are pulled at C speed.
+        fit = _BLOCK_POINTS // max(first.n_points, 1)
+        block = [first]
+        block.extend(islice(it, max(min(_BLOCK_CHUNKS, fit), 1) - 1))
+        yield block
 
 
 def _block_feed(chunks: Iterable[Chunk], op: Operator) -> Iterator[Chunk]:
-    """Bare-path columnar executor: drive ``process_many`` over blocks.
+    """Bare-path executor: drive ``process_many`` over bounded blocks.
 
     Per-chunk generator setup dominates the bare pull path once kernels
-    are vectorized, so in columnar mode fixed-size blocks of chunks go
-    through one ``process_many`` call each. Output chunks, order, and
-    stats are identical to the per-chunk loop; only call granularity
+    are vectorized, so blocks of chunks go through one ``process_many``
+    call each. Output chunks, order, and stats are identical to the
+    per-chunk loop wherever a block is cut; only call granularity
     changes. Stats/trace/recovery paths keep per-chunk feeding — their
     accounting is defined per processing call.
     """
-    it = iter(chunks)
-    while True:
-        block = list(islice(it, _BLOCK_CHUNKS))
-        if not block:
-            break
+    for block in _blocks(chunks):
         yield from op.process_many(block)
     yield from op.flush()
 
@@ -146,7 +156,7 @@ def _probe(ins: Instruments, op: Operator | BinaryOperator) -> StageProbe | None
 
 def _feed(chunks: Iterable[Chunk], op: Operator, probe: StageProbe | None) -> Iterator[Chunk]:
     ctx = current_recovery()
-    if probe is None and ctx is None and op.columnar:
+    if probe is None and ctx is None:
         yield from _block_feed(chunks, op)
         return
     for chunk in chunks:
@@ -154,17 +164,8 @@ def _feed(chunks: Iterable[Chunk], op: Operator, probe: StageProbe | None) -> It
     yield from run_step(op, None, None, ctx, probe)
 
 
-def apply_operators(
-    stream: GeoStream,
-    operators: Sequence[Operator],
-    columnar: bool | None = None,
-) -> GeoStream:
-    """Pipe a stream through unary operators; the result is again a GeoStream.
-
-    ``columnar`` selects the execution mode for every operator in the
-    pipeline: True for the vectorized batch kernels, False for the
-    per-point oracle, None for the ``REPRO_COLUMNAR`` process default.
-    """
+def apply_operators(stream: GeoStream, operators: Sequence[Operator]) -> GeoStream:
+    """Pipe a stream through unary operators; the result is again a GeoStream."""
     operators = list(operators)
     for op in operators:
         if not isinstance(op, Operator):
@@ -172,9 +173,6 @@ def apply_operators(
                 f"{type(op).__name__} is not a unary Operator; use "
                 "compose_streams for binary operators"
             )
-    mode = resolve_columnar(columnar)
-    for op in operators:
-        op.set_execution_mode(mode)
     metadata = stream.metadata
     for op in operators:
         metadata = op.output_metadata(metadata)
@@ -208,22 +206,17 @@ def apply_operators(
 
 
 def compose_streams(
-    left: GeoStream,
-    right: GeoStream,
-    operator: BinaryOperator,
-    columnar: bool | None = None,
+    left: GeoStream, right: GeoStream, operator: BinaryOperator
 ) -> GeoStream:
     """Merge two streams through a binary operator (Def. 10).
 
     Chunks are fed to the operator in measured-time order across both
     inputs, reproducing the arrival interleaving a receiving station sees;
     the operator's buffering behaviour under a given interleaving is then
-    exactly what Section 3.3 analyses. ``columnar`` selects the execution
-    mode as in :func:`apply_operators`.
+    exactly what Section 3.3 analyses.
     """
     if not isinstance(operator, BinaryOperator):
         raise StreamError(f"{type(operator).__name__} is not a BinaryOperator")
-    operator.set_execution_mode(resolve_columnar(columnar))
     metadata = operator.output_metadata(left.metadata, right.metadata)
     state = {"epoch": 0}
 

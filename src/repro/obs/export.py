@@ -278,30 +278,23 @@ def to_prometheus(registry: Optional[MetricsRegistry] = None) -> str:
     return out.getvalue()
 
 
-def register_build_info(
-    registry: Optional[MetricsRegistry] = None, columnar: bool | None = None
-) -> None:
+def register_build_info(registry: Optional[MetricsRegistry] = None) -> None:
     """Register the ``repro_build_info`` gauge (constant 1).
 
-    Labels identify the build: package version, Python version, and the
-    columnar execution mode. Get-or-create semantics make this safe to
-    call once per server construction *and* once per scrape.
+    Labels identify the build: package version and Python version.
+    Get-or-create semantics make this safe to call once per server
+    construction *and* once per scrape.
     """
     import importlib
     import platform
 
     if registry is None:
         registry = get_registry()
-    if columnar is None:
-        from ..core.columnar import columnar_default
-
-        columnar = columnar_default()
     version = getattr(importlib.import_module("repro"), "__version__", "unknown")
     registry.gauge(
         "repro_build_info",
         version=version,
         python=platform.python_version(),
-        columnar="1" if columnar else "0",
     ).set(1.0)
 
 

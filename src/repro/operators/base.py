@@ -14,7 +14,11 @@ then falls out of high-water marks instead of noisy wall clocks.
 
 Unary operators implement ``_process`` (and optionally ``_flush``);
 binary operators implement ``_process_side``. State must be (re)created in
-``reset`` so a piped stream can be re-opened.
+``_reset_state`` so a piped stream can be re-opened.
+
+Each operator has exactly one implementation here: the batch kernel. The
+per-point reference the kernels are held bit-identical to lives with its
+only callers, in ``tests/reference/`` (see ``docs/columnar.md``).
 """
 
 from __future__ import annotations
@@ -111,19 +115,8 @@ class Operator:
     plan_label: str | None = None
     plan_kind: str | None = None
 
-    # Execution mode. Per-point (False) is the reference implementation —
-    # the correctness oracle. Columnar (True) routes through the batch
-    # kernels, which must produce bit-identical chunks and stats (enforced
-    # by tests/test_columnar_differential.py). Operators without a batch
-    # kernel silently fall back to the oracle.
-    columnar: bool = False
-
     def __init__(self) -> None:
         self.stats = OperatorStats()
-
-    def set_execution_mode(self, columnar: bool) -> None:
-        """Select per-point oracle (False) or columnar batch kernels (True)."""
-        self.columnar = bool(columnar)
 
     # -- hooks for subclasses ------------------------------------------------
 
@@ -133,13 +126,6 @@ class Operator:
     def _flush(self) -> Iterable[Chunk]:
         return ()
 
-    def _process_columnar(self, chunk: Chunk) -> Iterable[Chunk]:
-        """Batch kernel; defaults to the per-point oracle."""
-        return self._process(chunk)
-
-    def _flush_columnar(self) -> Iterable[Chunk]:
-        return self._flush()
-
     def _reset_state(self) -> None:
         """Drop any internal buffers (subclasses with state override)."""
 
@@ -148,8 +134,7 @@ class Operator:
     def process(self, chunk: Chunk) -> Iterator[Chunk]:
         """Feed one chunk; yield zero or more output chunks."""
         self.stats.note_in(chunk)
-        step = self._process_columnar if self.columnar else self._process
-        for out in step(chunk):
+        for out in self._process(chunk):
             self.stats.note_out(out)
             yield out
 
@@ -157,13 +142,13 @@ class Operator:
         """Feed a block of chunks; return every output chunk, in order.
 
         Equivalent to concatenating :meth:`process` over the block — same
-        outputs, same stats — but driven as one call so the columnar
+        outputs, same stats — but driven as one call so the block
         executor skips per-chunk generator setup. Operators may override
         this to vectorize *across* chunk boundaries; overrides must keep
         the equivalence bit-exact (tests/test_columnar_differential.py).
         """
         stats = self.stats
-        step = self._process_columnar if self.columnar else self._process
+        step = self._process
         outs: list[Chunk] = []
         append = outs.append
         note_out = stats.note_out
@@ -177,17 +162,12 @@ class Operator:
     def flush(self) -> Iterator[Chunk]:
         """Signal end of stream; yield any held output."""
         self.stats.flushes += 1
-        step = self._flush_columnar if self.columnar else self._flush
-        for out in step():
+        for out in self._flush():
             self.stats.note_out(out)
             yield out
 
     def reset(self) -> None:
-        """Fresh stats and state, so the owning stream can be re-opened.
-
-        The execution mode survives a reset: mode is pipeline wiring, not
-        stream state.
-        """
+        """Fresh stats and state, so the owning stream can be re-opened."""
         self.stats = OperatorStats()
         self._reset_state()
 
@@ -211,26 +191,14 @@ class BinaryOperator:
     plan_label: str | None = None
     plan_kind: str | None = None
 
-    columnar: bool = False
-
     def __init__(self) -> None:
         self.stats = OperatorStats()
-
-    def set_execution_mode(self, columnar: bool) -> None:
-        self.columnar = bool(columnar)
 
     def _process_side(self, side: str, chunk: Chunk) -> Iterable[Chunk]:
         raise NotImplementedError
 
     def _flush(self) -> Iterable[Chunk]:
         return ()
-
-    def _process_side_columnar(self, side: str, chunk: Chunk) -> Iterable[Chunk]:
-        """Batch kernel; defaults to the per-point oracle."""
-        return self._process_side(side, chunk)
-
-    def _flush_columnar(self) -> Iterable[Chunk]:
-        return self._flush()
 
     def _reset_state(self) -> None:
         pass
@@ -239,15 +207,13 @@ class BinaryOperator:
         if side not in self.SIDES:
             raise OperatorError(f"unknown input side {side!r}; expected one of {self.SIDES}")
         self.stats.note_in(chunk)
-        step = self._process_side_columnar if self.columnar else self._process_side
-        for out in step(side, chunk):
+        for out in self._process_side(side, chunk):
             self.stats.note_out(out)
             yield out
 
     def flush(self) -> Iterator[Chunk]:
         self.stats.flushes += 1
-        step = self._flush_columnar if self.columnar else self._flush
-        for out in step():
+        for out in self._flush():
             self.stats.note_out(out)
             yield out
 

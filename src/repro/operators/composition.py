@@ -24,6 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..core.chunk import Chunk, GridChunk, PointChunk, TimestampPolicy, fast_grid_replace
+from ..core.columnar import ROW_MEMO_MAX, Memo
 from ..core.lattice import GridLattice
 from ..core.stream import StreamMetadata
 from ..core.valueset import ValueSet, promote
@@ -69,6 +70,14 @@ def normalized_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _safe_divide(a - b, a + b)
 
 
+def _alignment_verdict(pair: tuple[GridLattice, GridLattice]) -> str:
+    """Whether two chunk lattices can compose: ``ok``, ``crs`` or ``misaligned``."""
+    left, right = pair
+    if left.crs != right.crs:
+        return "crs"
+    return "ok" if left.aligned_with(right) else "misaligned"
+
+
 class StreamComposition(BinaryOperator):
     """Pointwise binary operator over two GeoStreams (Def. 10).
 
@@ -112,11 +121,16 @@ class StreamComposition(BinaryOperator):
         self.out_value_set = output_value_set
         # Per-side buffers: match key -> waiting chunk.
         self._waiting: dict[str, dict[tuple, GridChunk]] = {"left": {}, "right": {}}
-        # Columnar caches: match-key lattice components and pairwise
-        # alignment verdicts are pure functions of the (frozen) lattices,
-        # so they survive resets and are computed once per geometry.
-        self._latkey_cache: dict[GridLattice, tuple] = {}
-        self._align_cache: dict[tuple[GridLattice, GridLattice], str] = {}
+        # Match-key lattice components and pairwise alignment verdicts are
+        # pure functions of the (frozen) lattices, so they survive resets
+        # and are computed once per geometry.
+        self._lattice_key: Memo[GridLattice, tuple] = Memo(
+            lambda lat: (lat.height, lat.width, round(lat.x0, 9), round(lat.y0, 9)),
+            ROW_MEMO_MAX,
+        )
+        self._pair_verdict: Memo[tuple[GridLattice, GridLattice], str] = Memo(
+            _alignment_verdict, ROW_MEMO_MAX
+        )
 
     def _reset_state(self) -> None:
         self._waiting = {"left": {}, "right": {}}
@@ -129,25 +143,18 @@ class StreamComposition(BinaryOperator):
         tkey = chunk.timestamp_key(self.timestamp_policy)
         if self.timestamp_policy == "measured" and self.time_tolerance > 0:
             tkey = round(tkey / self.time_tolerance)
-        lat = chunk.lattice
-        return (
-            tkey,
-            chunk.row0,
-            chunk.col0,
-            lat.height,
-            lat.width,
-            round(lat.x0, 9),
-            round(lat.y0, 9),
-        )
+        height, width, x0, y0 = self._lattice_key[chunk.lattice]
+        return (tkey, chunk.row0, chunk.col0, height, width, x0, y0)
 
     def _compose(self, left: GridChunk, right: GridChunk) -> GridChunk:
-        if left.lattice.crs != right.lattice.crs:
+        verdict = self._pair_verdict[left.lattice, right.lattice]
+        if verdict == "crs":
             raise CompositionError(
                 "composition requires both streams in the same coordinate "
                 f"system, got {left.lattice.crs.name!r} and "
                 f"{right.lattice.crs.name!r}"
             )
-        if not left.lattice.aligned_with(right.lattice):
+        if verdict == "misaligned":
             raise CompositionError(
                 "composition requires both streams over the same point lattice"
             )
@@ -159,7 +166,7 @@ class StreamComposition(BinaryOperator):
         else:
             values = values.astype(np.float32)
         band = self.band or f"({left.band}{self.gamma_symbol}{right.band})"
-        return dc_replace(
+        return fast_grid_replace(
             left,
             values=values,
             band=band,
@@ -188,88 +195,6 @@ class StreamComposition(BinaryOperator):
         replaced = self._waiting[side].get(key)
         if replaced is not None:
             # A duplicate key on the same side replaces the stale chunk.
-            self.stats.buffer_remove_chunk(replaced)
-        self._waiting[side][key] = chunk
-        self.stats.buffer_add_chunk(chunk)
-
-    # -- columnar kernel ---------------------------------------------------------
-    #
-    # Matching is already chunk-at-a-time; the columnar win is caching the
-    # per-lattice key components and the O(lattice) alignment check, and
-    # deriving the output chunk without re-validation. The gamma itself is
-    # byte-for-byte the oracle's expression.
-
-    def _lattice_key(self, lattice: GridLattice) -> tuple:
-        key = self._latkey_cache.get(lattice)
-        if key is None:
-            key = (lattice.height, lattice.width, round(lattice.x0, 9), round(lattice.y0, 9))
-            self._latkey_cache[lattice] = key
-        return key
-
-    def _match_key_columnar(self, chunk: GridChunk) -> tuple:
-        tkey = chunk.timestamp_key(self.timestamp_policy)
-        if self.timestamp_policy == "measured" and self.time_tolerance > 0:
-            tkey = round(tkey / self.time_tolerance)
-        height, width, x0, y0 = self._lattice_key(chunk.lattice)
-        return (tkey, chunk.row0, chunk.col0, height, width, x0, y0)
-
-    def _pair_verdict(self, left: GridLattice, right: GridLattice) -> str:
-        verdict = self._align_cache.get((left, right))
-        if verdict is None:
-            if left.crs != right.crs:
-                verdict = "crs"
-            elif not left.aligned_with(right):
-                verdict = "misaligned"
-            else:
-                verdict = "ok"
-            self._align_cache[(left, right)] = verdict
-        return verdict
-
-    def _compose_columnar(self, left: GridChunk, right: GridChunk) -> GridChunk:
-        verdict = self._pair_verdict(left.lattice, right.lattice)
-        if verdict == "crs":
-            raise CompositionError(
-                "composition requires both streams in the same coordinate "
-                f"system, got {left.lattice.crs.name!r} and "
-                f"{right.lattice.crs.name!r}"
-            )
-        if verdict == "misaligned":
-            raise CompositionError(
-                "composition requires both streams over the same point lattice"
-            )
-        values = self.gamma(
-            left.values.astype(np.float64), right.values.astype(np.float64)
-        )
-        if self.out_value_set is not None:
-            values = self.out_value_set.coerce(values)
-        else:
-            values = values.astype(np.float32)
-        band = self.band or f"({left.band}{self.gamma_symbol}{right.band})"
-        return fast_grid_replace(
-            left,
-            values=values,
-            band=band,
-            t=max(left.t, right.t),
-            last_in_frame=left.last_in_frame and right.last_in_frame,
-        )
-
-    def _process_side_columnar(self, side: str, chunk: Chunk) -> Iterable[Chunk]:
-        if isinstance(chunk, PointChunk):
-            raise CompositionError(
-                "composition of point-by-point streams is not supported; "
-                "rasterize them first"
-            )
-        other_side = "right" if side == "left" else "left"
-        key = self._match_key_columnar(chunk)
-        partner = self._waiting[other_side].pop(key, None)
-        if partner is not None:
-            self.stats.buffer_remove_chunk(partner)
-            self.stats.note_wait(abs(chunk.t - partner.t))
-            left, right = (chunk, partner) if side == "left" else (partner, chunk)
-            yield self._compose_columnar(left, right)
-            return
-        replaced = self._waiting[side].get(key)
-        if replaced is not None:
             self.stats.buffer_remove_chunk(replaced)
         self._waiting[side][key] = chunk
         self.stats.buffer_add_chunk(chunk)

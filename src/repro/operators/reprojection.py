@@ -39,7 +39,7 @@ from typing import Iterable
 import numpy as np
 
 from ..core.chunk import Chunk, GridChunk, PointChunk, fast_grid_chunk
-from ..core.columnar import RollingCanvas
+from ..core.columnar import FRAME_MEMO_MAX, ROW_MEMO_MAX, Memo, RollingCanvas
 from ..core.lattice import GridLattice
 from ..core.metadata import FrameInfo
 from ..core.stream import StreamMetadata
@@ -86,6 +86,8 @@ class _FrameReprojection:
         if h_out:
             self.floor_from[:h_out] = np.minimum.accumulate(self.row_min[::-1])[::-1]
         self.next_out = 0
+        # Output row index -> that row's lattice.
+        self.dst_rows: Memo[int, GridLattice] = Memo(dst_lattice.row_lattice, ROW_MEMO_MAX)
 
     def needed_floor(self) -> int:
         """Lowest source row any not-yet-emitted output row still needs."""
@@ -119,26 +121,25 @@ class Reproject(Operator):
         self.method = method
         self.fill = fill
         self._footprint = KERNEL_FOOTPRINT[method]
-        self._nav: _FrameReprojection | None = None
-        self._frame_id: int | None = None
-        self._src_rows: dict[int, GridChunk] = {}
         self._meta: tuple[str, float, int | None] = ("", 0.0, None)
-        # Columnar state. Navigation (inverse-projected coordinates, row
-        # bands) is a pure function of the source frame lattice and the
-        # operator config, so it is cached across frames and resets — the
-        # per-frame part is just next_out, reset in _begin_frame_columnar.
-        # Source rows live in one contiguous rolling canvas instead of a
-        # dict of row chunks; _row_sizes keeps their buffer accounting.
-        self._nav_cache: dict[GridLattice, _FrameReprojection] = {}
+        # Navigation (inverse-projected coordinates, row bands) is a pure
+        # function of the source frame lattice and the operator config, so
+        # it is memoized across frames and resets — the per-frame part is
+        # just next_out, reset in _begin_frame. Source rows live in one
+        # contiguous rolling canvas; _row_sizes keeps their buffer accounting.
+        self._navigation: Memo[GridLattice, _FrameReprojection] = Memo(
+            lambda src: _FrameReprojection(
+                src, self._derive_dst_lattice(src), self._footprint
+            ),
+            FRAME_MEMO_MAX,
+        )
         self._canvas: RollingCanvas | None = None
-        self._row_sizes: dict[int, tuple[int, int]] = {}
-        self._dst_row_cache: dict[GridLattice, dict[int, GridLattice]] = {}
+        self._reset_state()
 
     def _reset_state(self) -> None:
-        self._nav = None
-        self._frame_id = None
-        self._src_rows = {}
-        self._row_sizes = {}
+        self._nav: _FrameReprojection | None = None
+        self._frame_id: int | None = None
+        self._row_sizes: dict[int, tuple[int, int]] = {}
 
     # -- output lattice derivation --------------------------------------------
 
@@ -173,144 +174,7 @@ class Reproject(Operator):
                 "explicit output lattice; without knowing the frame extent the "
                 "operator could block forever (Section 3.2)"
             )
-        self._nav = _FrameReprojection(
-            src_lattice, self._derive_dst_lattice(src_lattice), self._footprint
-        )
-
-    def _store_rows(self, chunk: GridChunk) -> None:
-        for local_row in range(chunk.lattice.height):
-            row = chunk.subwindow(local_row, 0, 1, chunk.lattice.width)
-            abs_row = row.row0
-            if abs_row in self._src_rows:
-                self.stats.buffer_remove_chunk(self._src_rows[abs_row])
-            self._src_rows[abs_row] = row
-            self.stats.buffer_add_chunk(row)
-
-    def _highest_contiguous_row(self) -> int:
-        """Highest source row r such that all rows 0..r have been seen or
-        evicted (evicted rows were already consumed)."""
-        # Rows are delivered in order by our instruments; the max stored
-        # row is the watermark. Out-of-order delivery would need a gap set;
-        # the ordered-stream model of the paper makes this sufficient.
-        return max(self._src_rows, default=-1)
-
-    def _emit_ready(self, force: bool) -> Iterable[GridChunk]:
-        nav = self._nav
-        assert nav is not None
-        watermark = self._highest_contiguous_row()
-        h_out = nav.dst_lattice.height
-        while nav.next_out < h_out:
-            j = nav.next_out
-            if not force and nav.row_max[j] > watermark:
-                break
-            yield self._emit_row(j)
-            nav.next_out += 1
-            # Evict source rows nothing pending needs anymore.
-            floor = nav.needed_floor()
-            for r in [r for r in self._src_rows if r < floor]:
-                self.stats.buffer_remove_chunk(self._src_rows.pop(r))
-        if force:
-            for r in list(self._src_rows):
-                self.stats.buffer_remove_chunk(self._src_rows.pop(r))
-            self._nav = None
-            self._frame_id = None
-
-    def _emit_row(self, j: int) -> GridChunk:
-        nav = self._nav
-        assert nav is not None
-        band, t, sector = self._meta
-        r_lo, r_hi = int(nav.row_min[j]), int(nav.row_max[j])
-        if r_hi < r_lo:
-            out = np.full((1, nav.dst_lattice.width), self.fill, dtype=np.float64)
-        else:
-            stack = np.full(
-                (r_hi - r_lo + 1, nav.src_lattice.width), np.nan, dtype=np.float64
-            )
-            for r in range(r_lo, r_hi + 1):
-                row = self._src_rows.get(r)
-                if row is not None:
-                    # Rows may be partial windows of the frame (e.g. after
-                    # a spatial restriction): paste at the column offset.
-                    c0 = row.col0
-                    stack[r - r_lo, c0 : c0 + row.lattice.width] = row.values[0].astype(
-                        np.float64
-                    )
-            out = sample(
-                self.method,
-                stack,
-                nav.rows[j] - r_lo,
-                nav.cols[j],
-                fill=self.fill,
-            ).reshape(1, -1)
-        frame_id = self._frame_id if self._frame_id is not None else 0
-        return GridChunk(
-            values=out.astype(np.float32),
-            lattice=nav.dst_lattice.row_lattice(j),
-            band=band,
-            t=t,
-            sector=sector,
-            frame=FrameInfo(frame_id, nav.dst_lattice),
-            row0=j,
-            col0=0,
-            last_in_frame=(j == nav.dst_lattice.height - 1),
-        )
-
-    # -- operator hooks -----------------------------------------------------------
-
-    def _process(self, chunk: Chunk) -> Iterable[Chunk]:
-        if isinstance(chunk, PointChunk):
-            # Point streams re-project pointwise: no buffering at all.
-            nx, ny = transform_points(chunk.crs, self.dst_crs, chunk.x, chunk.y)
-            keep = np.isfinite(nx) & np.isfinite(ny)
-            moved = PointChunk(
-                x=nx[keep],
-                y=ny[keep],
-                values=np.asarray(chunk.values)[keep],
-                band=chunk.band,
-                t=chunk.t[keep],
-                crs=self.dst_crs,
-                sector=chunk.sector,
-            )
-            if moved.n_points:
-                yield moved
-            return
-
-        if chunk.values.ndim != 2:
-            raise OperatorError("re-projection of vector-valued streams is not supported")
-        frame_id = chunk.frame.frame_id if chunk.frame is not None else None
-        if self._nav is not None and frame_id != self._frame_id:
-            yield from self._emit_ready(force=True)
-        if self._nav is None:
-            self._begin_frame(chunk)
-        self._meta = (chunk.band, chunk.t, chunk.sector)
-        self._store_rows(chunk)
-        yield from self._emit_ready(force=chunk.last_in_frame)
-
-    def _flush(self) -> Iterable[Chunk]:
-        if self._nav is not None:
-            yield from self._emit_ready(force=True)
-
-    # -- columnar kernel ---------------------------------------------------------
-
-    def _begin_frame_columnar(self, chunk: GridChunk) -> None:
-        if chunk.frame is not None:
-            src_lattice = chunk.frame.lattice
-            self._frame_id = chunk.frame.frame_id
-        elif chunk.last_in_frame and chunk.row0 == 0:
-            src_lattice = chunk.lattice
-            self._frame_id = None
-        else:
-            raise BlockingHazardError(
-                "re-projection needs scan-sector metadata (FrameInfo) or an "
-                "explicit output lattice; without knowing the frame extent the "
-                "operator could block forever (Section 3.2)"
-            )
-        nav = self._nav_cache.get(src_lattice)
-        if nav is None:
-            nav = _FrameReprojection(
-                src_lattice, self._derive_dst_lattice(src_lattice), self._footprint
-            )
-            self._nav_cache[src_lattice] = nav
+        nav = self._navigation[src_lattice]
         nav.next_out = 0
         self._nav = nav
         shape = (src_lattice.height, src_lattice.width)
@@ -318,14 +182,6 @@ class Reproject(Operator):
             self._canvas = RollingCanvas(*shape)
         else:
             self._canvas.reset()
-
-    def _dst_row_lattice(self, dst_lattice: GridLattice, j: int) -> GridLattice:
-        rows = self._dst_row_cache.setdefault(dst_lattice, {})
-        lattice = rows.get(j)
-        if lattice is None:
-            lattice = dst_lattice.row_lattice(j)
-            rows[j] = lattice
-        return lattice
 
     def _materialize_rows(
         self,
@@ -344,7 +200,7 @@ class Reproject(Operator):
         union window is clamped to the very same edge, making the index
         clips and the outside-fill mask resolve identically. Evicted rows
         are always strictly below every pending row's band, and rows the
-        run never delivered are NaN in the canvas, as in the oracle stack.
+        run never delivered are NaN in the canvas, as in the reference stack.
         """
         nav = self._nav
         canvas = self._canvas
@@ -355,19 +211,16 @@ class Reproject(Operator):
         h_last = dst.height - 1
         w_out = dst.width
         row_min, row_max = nav.row_min, nav.row_max
-        row_cache = self._dst_row_cache.setdefault(dst, {})
+        dst_rows = nav.dst_rows
         j = j0
         while j < j1:
             band, t, sector = self._meta if metas is None else metas[j - j0]
             if row_max[j] < row_min[j]:
                 # Output row entirely outside the source frame: pure fill.
                 out = np.full((1, w_out), self.fill, dtype=np.float64)
-                lattice = row_cache.get(j)
-                if lattice is None:
-                    lattice = row_cache[j] = dst.row_lattice(j)
                 yield fast_grid_chunk(
                     out.astype(np.float32),
-                    lattice,
+                    dst_rows[j],
                     band,
                     t,
                     sector=sector,
@@ -394,12 +247,9 @@ class Reproject(Operator):
             for offset in range(jr - j):
                 jj = j + offset
                 band, t, sector = self._meta if metas is None else metas[jj - j0]
-                lattice = row_cache.get(jj)
-                if lattice is None:
-                    lattice = row_cache[jj] = dst.row_lattice(jj)
                 yield fast_grid_chunk(
                     sampled[offset : offset + 1],
-                    lattice,
+                    dst_rows[jj],
                     band,
                     t,
                     sector=sector,
@@ -416,16 +266,19 @@ class Reproject(Operator):
             points, nbytes = self._row_sizes.pop(r)
             self.stats.buffer_remove(points, nbytes)
 
-    def _end_frame_columnar(self) -> None:
+    def _end_frame(self) -> None:
         for r in list(self._row_sizes):
             points, nbytes = self._row_sizes.pop(r)
             self.stats.buffer_remove(points, nbytes)
         self._nav = None
         self._frame_id = None
 
-    def _emit_ready_columnar(self, force: bool) -> Iterable[GridChunk]:
+    def _emit_ready(self, force: bool) -> Iterable[GridChunk]:
         nav = self._nav
         assert nav is not None
+        # Rows are delivered in order by our instruments, so the highest
+        # buffered row is the watermark. Out-of-order delivery would need a
+        # gap set; the ordered-stream model of the paper makes this sufficient.
         watermark = max(self._row_sizes, default=-1)
         h_out = nav.dst_lattice.height
         row_max = nav.row_max
@@ -440,23 +293,37 @@ class Reproject(Operator):
             nav.next_out = j1
             # Source rows only leave the buffer during emission, so one
             # eviction sweep after the batch removes exactly the rows the
-            # oracle's per-row sweeps would, with the same counter effect.
+            # reference's per-row sweeps would, with the same counter effect.
             self._evict_below_floor()
         if force:
-            self._end_frame_columnar()
+            self._end_frame()
 
-    def _process_columnar(self, chunk: Chunk) -> Iterable[Chunk]:
+    # -- operator hooks -----------------------------------------------------------
+
+    def _process(self, chunk: Chunk) -> Iterable[Chunk]:
         if isinstance(chunk, PointChunk):
-            # Already a single vectorized batch; use the oracle path.
-            yield from self._process(chunk)
+            # Point streams re-project pointwise: no buffering at all.
+            nx, ny = transform_points(chunk.crs, self.dst_crs, chunk.x, chunk.y)
+            keep = np.isfinite(nx) & np.isfinite(ny)
+            moved = PointChunk(
+                x=nx[keep],
+                y=ny[keep],
+                values=np.asarray(chunk.values)[keep],
+                band=chunk.band,
+                t=chunk.t[keep],
+                crs=self.dst_crs,
+                sector=chunk.sector,
+            )
+            if moved.n_points:
+                yield moved
             return
         if chunk.values.ndim != 2:
             raise OperatorError("re-projection of vector-valued streams is not supported")
         frame_id = chunk.frame.frame_id if chunk.frame is not None else None
         if self._nav is not None and frame_id != self._frame_id:
-            yield from self._emit_ready_columnar(force=True)
+            yield from self._emit_ready(force=True)
         if self._nav is None:
-            self._begin_frame_columnar(chunk)
+            self._begin_frame(chunk)
         self._meta = (chunk.band, chunk.t, chunk.sector)
         canvas = self._canvas
         assert canvas is not None
@@ -479,7 +346,7 @@ class Reproject(Operator):
             size = (width, int(row_values.nbytes))
             self._row_sizes[abs_row] = size
             self.stats.buffer_add(width, size[1])
-        yield from self._emit_ready_columnar(force=chunk.last_in_frame)
+        yield from self._emit_ready(force=chunk.last_in_frame)
 
     def process_many(self, chunks: list[Chunk]) -> list[Chunk]:
         """Ingest a frame-run of chunks first, then sample all output rows.
@@ -487,7 +354,7 @@ class Reproject(Operator):
         Per-chunk emission samples one output row at a time as its source
         band completes. Here, for a run of same-frame grid chunks with
         strictly ascending rows, every row is pasted into the canvas and
-        the oracle's exact accounting sequence is replayed — note_in,
+        the per-chunk accounting sequence is replayed — note_in,
         buffer adds, readiness checks and eviction sweeps per chunk, which
         also records which chunk's (band, t, sector) each output row is
         tagged with — before one deferred sampling pass materializes all
@@ -497,8 +364,6 @@ class Reproject(Operator):
         (replacement rows, frame changes, point streams) falls back to
         the per-chunk kernel.
         """
-        if not self.columnar:
-            return super().process_many(chunks)
         stats = self.stats
         outs: list[Chunk] = []
         i, n = 0, len(chunks)
@@ -530,19 +395,19 @@ class Reproject(Operator):
                         break
             if j == i:
                 stats.note_in(chunk)
-                for out in self._process_columnar(chunk):
+                for out in self._process(chunk):
                     stats.note_out(out)
                     outs.append(out)
                 i += 1
                 continue
             run = chunks[i:j]
             i = j
-            # -- ingest + replay the oracle's per-chunk accounting --------
+            # -- ingest + replay the per-chunk accounting ------------------
             pending: list[tuple[int, int, tuple[str, float, int | None]]] = []
             for c in run:
                 stats.note_in(c)
                 if self._nav is None:
-                    self._begin_frame_columnar(c)
+                    self._begin_frame(c)
                 self._meta = (c.band, c.t, c.sector)
                 nav = self._nav
                 canvas = self._canvas
@@ -585,12 +450,12 @@ class Reproject(Operator):
                     stats.note_out(out)
                     outs.append(out)
             if run[-1].last_in_frame:
-                self._end_frame_columnar()
+                self._end_frame()
         return outs
 
-    def _flush_columnar(self) -> Iterable[Chunk]:
+    def _flush(self) -> Iterable[Chunk]:
         if self._nav is not None:
-            yield from self._emit_ready_columnar(force=True)
+            yield from self._emit_ready(force=True)
 
     def output_metadata(self, metadata: StreamMetadata) -> StreamMetadata:
         return dc_replace(

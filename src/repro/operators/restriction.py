@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..core.chunk import Chunk, GridChunk, PointChunk, fast_grid_replace, fast_replace_values
-from ..core.columnar import coordinate_columns
+from ..core.columnar import ROW_MEMO_MAX, Memo, coordinate_columns
 from ..core.lattice import GridLattice
 from ..core.metadata import FrameInfo
 from ..core.stream import StreamMetadata
@@ -55,16 +55,22 @@ class SpatialRestriction(Operator):
         super().__init__()
         self.region = region
         self._is_box = isinstance(region, BoundingBox)
-        # Columnar geometry caches, keyed by (frozen, content-compared)
-        # lattices. Row-by-row streams repeat the same row lattice every
-        # frame, so the crop window, narrowed frame, and region mask are
-        # computed once per distinct geometry instead of once per chunk.
+        # Geometry memos, keyed by (frozen, content-compared) lattices.
+        # Row-by-row streams repeat the same row lattice every frame, so
+        # the crop window, narrowed frame, and region mask are computed
+        # once per distinct geometry instead of once per chunk.
         # Deliberately NOT cleared in _reset_state: the entries are pure
         # functions of (region, lattice), so reuse across stream re-opens
-        # is sound and is part of the columnar speedup.
-        self._window_cache: dict[GridLattice, tuple[int, int, int, int, GridLattice] | None] = {}
-        self._frame_cache: dict[GridLattice, tuple[GridLattice, int, int, int] | None] = {}
-        self._mask_cache: dict[GridLattice, tuple[np.ndarray, bool]] = {}
+        # is sound and is part of the kernels' speed.
+        self._crop_window: Memo[
+            GridLattice, tuple[int, int, int, int, GridLattice] | None
+        ] = Memo(self._compute_crop_window, ROW_MEMO_MAX)
+        self._narrowed_frame: Memo[
+            GridLattice, tuple[GridLattice, int, int, int] | None
+        ] = Memo(self._compute_narrowed_frame, ROW_MEMO_MAX)
+        self._region_keep: Memo[GridLattice, tuple[np.ndarray, bool]] = Memo(
+            self._compute_region_keep, ROW_MEMO_MAX
+        )
 
     def _check_crs(self, chunk_crs: object) -> None:
         if self.region.crs != chunk_crs:
@@ -73,6 +79,32 @@ class SpatialRestriction(Operator):
                 "than the stream; transform the region first (the optimizer "
                 "does this when pushing restrictions through re-projections)"
             )
+
+    def _compute_crop_window(
+        self, lattice: GridLattice
+    ) -> tuple[int, int, int, int, GridLattice] | None:
+        window = lattice.intersect_window(self.region.bounding_box)
+        if window is None:
+            return None
+        row0, col0, nrows, ncols = window
+        return (row0, col0, nrows, ncols, lattice.window(row0, col0, nrows, ncols))
+
+    def _compute_narrowed_frame(
+        self, lattice: GridLattice
+    ) -> tuple[GridLattice, int, int, int] | None:
+        """Narrowed frame lattice and offsets, or None when unchanged."""
+        fw = lattice.intersect_window(self.region.bounding_box)
+        if fw is None:
+            return None
+        f_row0, f_col0, f_nrows, f_ncols = fw
+        if (f_row0, f_col0, f_nrows, f_ncols) == (0, 0, lattice.height, lattice.width):
+            return None
+        return (lattice.window(f_row0, f_col0, f_nrows, f_ncols), f_row0, f_col0, f_nrows)
+
+    def _compute_region_keep(self, lattice: GridLattice) -> tuple[np.ndarray, bool]:
+        x, y = coordinate_columns(lattice)
+        keep = self.region.mask(x, y)
+        return (keep, bool(np.any(keep)))
 
     def _process(self, chunk: Chunk) -> Iterable[Chunk]:
         if isinstance(chunk, PointChunk):
@@ -83,93 +115,7 @@ class SpatialRestriction(Operator):
             return
 
         self._check_crs(chunk.lattice.crs)
-        window = chunk.lattice.intersect_window(self.region.bounding_box)
-        if window is None:
-            return
-        row0, col0, nrows, ncols = window
-        cropped = chunk.subwindow(row0, col0, nrows, ncols)
-        cropped = self._narrow_frame(cropped)
-        if self._is_box:
-            yield cropped
-            return
-        x, y = cropped.coords()
-        keep = self.region.mask(x, y)
-        if not np.any(keep):
-            return
-        yield cropped.with_values(_mask_grid_values(cropped.values, keep))
-
-    def _narrow_frame(self, chunk: GridChunk) -> GridChunk:
-        """Restrict the scan-sector metadata to the region as well.
-
-        The restriction narrows not just the data but the *spatial extent
-        currently scanned*: downstream frame-buffered operators (stretch,
-        re-projection, warps) then size their buffers and output lattices
-        to the restricted sector — which is precisely why pushing spatial
-        restrictions inward yields "the most significant space and time
-        gains" (Section 3.4).
-        """
-        frame = chunk.frame
-        if frame is None:
-            return chunk
-        fw = frame.lattice.intersect_window(self.region.bounding_box)
-        if fw is None:
-            return chunk
-        f_row0, f_col0, f_nrows, f_ncols = fw
-        if (f_row0, f_col0, f_nrows, f_ncols) == (0, 0, frame.lattice.height, frame.lattice.width):
-            return chunk
-        narrowed = FrameInfo(frame.frame_id, frame.lattice.window(f_row0, f_col0, f_nrows, f_ncols))
-        new_row0 = chunk.row0 - f_row0
-        new_col0 = chunk.col0 - f_col0
-        last = chunk.last_in_frame or (new_row0 + chunk.lattice.height == f_nrows)
-        return dc_replace(
-            chunk, frame=narrowed, row0=new_row0, col0=new_col0, last_in_frame=last
-        )
-
-    # -- columnar kernel ---------------------------------------------------------
-
-    def _crop_window(self, lattice: GridLattice) -> tuple[int, int, int, int, GridLattice] | None:
-        entry = self._window_cache.get(lattice, False)
-        if entry is False:
-            window = lattice.intersect_window(self.region.bounding_box)
-            if window is None:
-                entry = None
-            else:
-                row0, col0, nrows, ncols = window
-                entry = (row0, col0, nrows, ncols, lattice.window(row0, col0, nrows, ncols))
-            self._window_cache[lattice] = entry
-        return entry
-
-    def _narrowed_frame(self, lattice: GridLattice) -> tuple[GridLattice, int, int, int] | None:
-        """Narrowed frame lattice and offsets, or None when unchanged."""
-        entry = self._frame_cache.get(lattice, False)
-        if entry is False:
-            fw = lattice.intersect_window(self.region.bounding_box)
-            if fw is None:
-                entry = None
-            else:
-                f_row0, f_col0, f_nrows, f_ncols = fw
-                if (f_row0, f_col0, f_nrows, f_ncols) == (0, 0, lattice.height, lattice.width):
-                    entry = None
-                else:
-                    entry = (lattice.window(f_row0, f_col0, f_nrows, f_ncols), f_row0, f_col0, f_nrows)
-            self._frame_cache[lattice] = entry
-        return entry
-
-    def _region_keep(self, lattice: GridLattice) -> tuple[np.ndarray, bool]:
-        entry = self._mask_cache.get(lattice)
-        if entry is None:
-            x, y = coordinate_columns(lattice)
-            keep = self.region.mask(x, y)
-            entry = (keep, bool(np.any(keep)))
-            self._mask_cache[lattice] = entry
-        return entry
-
-    def _process_columnar(self, chunk: Chunk) -> Iterable[Chunk]:
-        if isinstance(chunk, PointChunk):
-            yield from self._process(chunk)
-            return
-        self._check_crs(chunk.lattice.crs)
-        crop = self._crop_window(chunk.lattice)
+        crop = self._crop_window[chunk.lattice]
         if crop is None:
             return
         row0, col0, nrows, ncols, cropped_lattice = crop
@@ -179,7 +125,13 @@ class SpatialRestriction(Operator):
         frame = chunk.frame
         last = chunk.last_in_frame
         if frame is not None:
-            narrowed = self._narrowed_frame(frame.lattice)
+            # The restriction narrows not just the data but the *spatial
+            # extent currently scanned*: downstream frame-buffered operators
+            # (stretch, re-projection, warps) then size their buffers and
+            # output lattices to the restricted sector — which is precisely
+            # why pushing spatial restrictions inward yields "the most
+            # significant space and time gains" (Section 3.4).
+            narrowed = self._narrowed_frame[frame.lattice]
             if narrowed is not None:
                 frame_lattice, f_row0, f_col0, f_nrows = narrowed
                 frame = FrameInfo(frame.frame_id, frame_lattice)
@@ -187,7 +139,7 @@ class SpatialRestriction(Operator):
                 new_col0 -= f_col0
                 last = last or (new_row0 + nrows == f_nrows)
         if not self._is_box:
-            keep, any_keep = self._region_keep(cropped_lattice)
+            keep, any_keep = self._region_keep[cropped_lattice]
             if not any_keep:
                 return
             values = _mask_grid_values(values, keep)
@@ -311,19 +263,8 @@ class ValueRestriction(Operator):
             keep = keep.all(axis=2)
         if not np.any(keep):
             return
-        yield chunk.with_values(_mask_grid_values(chunk.values, keep))
-
-    def _process_columnar(self, chunk: Chunk) -> Iterable[Chunk]:
-        # The keep mask is already one vectorized batch; columnar mode only
-        # removes the re-validating with_values on the output chunk.
-        if isinstance(chunk, PointChunk):
-            yield from self._process(chunk)
-            return
-        keep = self._keep(chunk.values)
-        if keep.ndim == 3:
-            keep = keep.all(axis=2)
-        if not np.any(keep):
-            return
+        # The keep mask is one vectorized batch; the output chunk skips
+        # with_values' re-validation.
         yield fast_replace_values(chunk, _mask_grid_values(chunk.values, keep))
 
     def output_metadata(self, metadata: StreamMetadata) -> StreamMetadata:

@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..core.chunk import Chunk, GridChunk, PointChunk, fast_grid_chunk
-from ..core.columnar import BandAccumulator, RollingCanvas
+from ..core.columnar import FRAME_MEMO_MAX, ROW_MEMO_MAX, BandAccumulator, Memo, RollingCanvas
 from ..core.lattice import GridLattice
 from ..core.metadata import FrameInfo
 from ..core.stream import StreamMetadata
@@ -51,53 +51,24 @@ class Magnify(Operator):
         if k < 1:
             raise OperatorError(f"magnification factor must be >= 1, got {k}")
         self.k = k
-        # Content-keyed lattice cache for columnar mode (survives resets:
-        # magnified(lattice) is a pure function).
-        self._lat_cache: dict[GridLattice, GridLattice] = {}
+        # lattice -> magnified lattice (a pure function, so it survives resets).
+        self._magnified: Memo[GridLattice, GridLattice] = Memo(
+            lambda lattice: lattice.magnified(k), ROW_MEMO_MAX
+        )
         # Identity-keyed FrameInfo memo: instruments reuse one FrameInfo
         # object for every row of a frame, so the magnified FrameInfo only
         # needs building once per frame.
         self._fi_in: FrameInfo | None = None
         self._fi_out: FrameInfo | None = None
 
-    def _process(self, chunk: Chunk) -> Iterable[Chunk]:
-        if isinstance(chunk, PointChunk):
-            raise OperatorError("magnification is defined on grid streams only")
-        k = self.k
-        if k == 1:
-            yield chunk
-            return
-        values = np.repeat(np.repeat(chunk.values, k, axis=0), k, axis=1)
-        frame = chunk.frame
-        if frame is not None:
-            frame = FrameInfo(frame.frame_id, frame.lattice.magnified(k))
-        yield GridChunk(
-            values=values,
-            lattice=chunk.lattice.magnified(k),
-            band=chunk.band,
-            t=chunk.t,
-            sector=chunk.sector,
-            frame=frame,
-            row0=chunk.row0 * k,
-            col0=chunk.col0 * k,
-            last_in_frame=chunk.last_in_frame,
-        )
-
-    def _magnified(self, lattice: GridLattice) -> GridLattice:
-        out = self._lat_cache.get(lattice)
-        if out is None:
-            out = lattice.magnified(self.k)
-            self._lat_cache[lattice] = out
-        return out
-
     def _magnified_frame(self, frame: FrameInfo) -> FrameInfo:
         if frame is not self._fi_in:
             self._fi_in = frame
-            self._fi_out = FrameInfo(frame.frame_id, self._magnified(frame.lattice))
+            self._fi_out = FrameInfo(frame.frame_id, self._magnified[frame.lattice])
         assert self._fi_out is not None
         return self._fi_out
 
-    def _process_columnar(self, chunk: Chunk) -> Iterable[Chunk]:
+    def _process(self, chunk: Chunk) -> Iterable[Chunk]:
         if isinstance(chunk, PointChunk):
             raise OperatorError("magnification is defined on grid streams only")
         k = self.k
@@ -110,7 +81,7 @@ class Magnify(Operator):
             frame = self._magnified_frame(frame)
         yield fast_grid_chunk(
             values,
-            self._magnified(chunk.lattice),
+            self._magnified[chunk.lattice],
             chunk.band,
             chunk.t,
             sector=chunk.sector,
@@ -128,7 +99,7 @@ class Magnify(Operator):
         per-chunk blocks yields exactly the per-chunk kernel's arrays.
         """
         k = self.k
-        if not self.columnar or k == 1:
+        if k == 1:
             return super().process_many(chunks)
         stats = self.stats
         outs: list[Chunk] = []
@@ -137,7 +108,7 @@ class Magnify(Operator):
             chunk = chunks[i]
             if not isinstance(chunk, GridChunk) or chunk.values.ndim != 2:
                 stats.note_in(chunk)
-                for out in self._process_columnar(chunk):
+                for out in self._process(chunk):
                     stats.note_out(out)
                     outs.append(out)
                 i += 1
@@ -172,7 +143,7 @@ class Magnify(Operator):
                 outs.append(
                     fast_grid_chunk(
                         big[idx * hk : (idx + 1) * hk],
-                        self._magnified(c.lattice),
+                        self._magnified[c.lattice],
                         c.band,
                         c.t,
                         sector=c.sector,
@@ -210,43 +181,47 @@ class Coarsen(Operator):
             raise OperatorError(f"coarsening factor must be >= 1, got {k}")
         self.k = k
         self.reducer = reducer
-        self._band: list[GridChunk] = []
-        self._band_rows = 0
-        self._frame_id: int | None = None
-        # Columnar band state: rows are pasted into one contiguous
-        # accumulator instead of materialized as per-row chunks. The raw
-        # row views are kept alongside so a geometry mismatch (fault-
-        # corrupted widths/dtypes) falls back to the oracle's np.vstack
-        # and fails in exactly the same way.
-        self._col_acc: BandAccumulator | None = None
-        self._col_ok = False
-        self._col_rows: list[np.ndarray] = []
-        self._col_sizes: list[tuple[int, int]] = []
-        self._col_first: tuple[GridLattice, int, int, str, int | None, FrameInfo | None] | None = None
-        self._col_last_t = 0.0
-        # Pure-function lattice caches (survive resets).
-        self._coarse_cache: dict[GridLattice, GridLattice] = {}
-        # Band-start row lattice -> output band lattice (pure function of
-        # the row lattice and k; recurs once per band per frame).
-        self._band_out_cache: dict[GridLattice, GridLattice] = {}
+        # Band rows are pasted into one contiguous accumulator instead of
+        # materialized as per-row chunks. The raw row views are kept
+        # alongside so a geometry mismatch (fault-corrupted widths/dtypes)
+        # falls back to np.vstack and fails exactly as the reference does.
+        self._acc: BandAccumulator | None = None
+        # Pure-function lattice memos (survive resets).
+        self._coarsened: Memo[GridLattice, GridLattice] = Memo(
+            lambda lattice: lattice.coarsened(k), ROW_MEMO_MAX
+        )
+        # Band-start row lattice -> output band lattice (recurs once per
+        # band per frame).
+        self._band_out: Memo[GridLattice, GridLattice] = Memo(
+            lambda row: row.window(0, 0, k, row.width).coarsened(k), ROW_MEMO_MAX
+        )
         # Identity-keyed FrameInfo memo (one FrameInfo object per frame).
         self._fi_in: FrameInfo | None = None
         self._fi_out: FrameInfo | None = None
+        self._reset_state()
 
     def _reset_state(self) -> None:
-        self._band = []
-        self._band_rows = 0
-        self._frame_id = None
-        self._col_ok = False
-        self._col_rows = []
-        self._col_sizes = []
-        self._col_first = None
+        self._frame_id: int | None = None
+        self._acc_ok = False
+        self._rows: list[np.ndarray] = []
+        self._sizes: list[tuple[int, int]] = []
+        self._first: tuple[GridLattice, int, int, str, int | None, FrameInfo | None] | None = None
+        self._last_t = 0.0
+
+    def _coarsened_frame(self, frame: FrameInfo) -> FrameInfo:
+        if frame is not self._fi_in:
+            self._fi_in = frame
+            self._fi_out = FrameInfo(frame.frame_id, self._coarsened[frame.lattice])
+        assert self._fi_out is not None
+        return self._fi_out
 
     def _drop_band(self) -> None:
-        for c in self._band:
-            self.stats.buffer_remove_chunk(c)
-        self._band = []
-        self._band_rows = 0
+        for points, nbytes in self._sizes:
+            self.stats.buffer_remove(points, nbytes)
+        self._rows = []
+        self._sizes = []
+        self._first = None
+        self._acc_ok = False
 
     def _emit_band(self, last: bool) -> GridChunk | None:
         """Reduce the buffered k-row band into one output row chunk.
@@ -256,28 +231,33 @@ class Coarsen(Operator):
         nothing (trailing columns not filling a block are dropped).
         """
         k = self.k
-        stack = np.vstack([c.values for c in self._band])
-        first = self._band[0]
+        assert self._first is not None
+        first_lattice, first_row0, first_col0, band, sector, frame = self._first
+        if self._acc_ok and self._acc is not None:
+            stack = self._acc.stack()
+        else:
+            stack = np.vstack(self._rows)
         width = stack.shape[1]
         if width < k:
             self._drop_band()
             return None
         reduced = block_reduce(stack.astype(np.float64), k, self.reducer)
-        out_lattice = first.lattice.window(0, 0, k, width).coarsened(k)
-        frame = first.frame
+        if width == first_lattice.width:
+            out_lattice = self._band_out[first_lattice]
+        else:
+            out_lattice = first_lattice.window(0, 0, k, width).coarsened(k)
         out_frame = None
-        out_row0 = first.row0 // k
         if frame is not None:
-            out_frame = FrameInfo(frame.frame_id, frame.lattice.coarsened(k))
-        chunk = GridChunk(
-            values=reduced.astype(np.float32),
-            lattice=out_lattice,
-            band=first.band,
-            t=self._band[-1].t,
-            sector=first.sector,
+            out_frame = self._coarsened_frame(frame)
+        chunk = fast_grid_chunk(
+            reduced.astype(np.float32),
+            out_lattice,
+            band,
+            self._last_t,
+            sector=sector,
             frame=out_frame,
-            row0=out_row0,
-            col0=first.col0 // k,
+            row0=first_row0 // k,
+            col0=first_col0 // k,
             last_in_frame=last,
         )
         self._drop_band()
@@ -291,137 +271,17 @@ class Coarsen(Operator):
             yield chunk
             return
         frame_id = chunk.frame.frame_id if chunk.frame is not None else None
-        if self._band and frame_id != self._frame_id:
+        if self._rows and frame_id != self._frame_id:
             # Frame changed with an incomplete band: the trailing rows do
             # not fill a block and are dropped.
             self._drop_band()
         self._frame_id = frame_id
 
         # Fast path: a whole-frame chunk reduces directly, no buffering.
-        if (
-            not self._band
-            and chunk.last_in_frame
-            and chunk.row0 == 0
-            and chunk.lattice.height >= k
-            and chunk.lattice.width >= k
-        ):
-            reduced = block_reduce(chunk.values.astype(np.float64), k, self.reducer)
-            frame = chunk.frame
-            out_frame = FrameInfo(frame.frame_id, frame.lattice.coarsened(k)) if frame else None
-            yield GridChunk(
-                values=reduced.astype(np.float32),
-                lattice=chunk.lattice.coarsened(k),
-                band=chunk.band,
-                t=chunk.t,
-                sector=chunk.sector,
-                frame=out_frame,
-                row0=0,
-                col0=chunk.col0 // k,
-                last_in_frame=True,
-            )
-            return
-
-        # Row-accumulation path: split multi-row chunks into rows so bands
-        # always align to k-row boundaries.
-        for local_row in range(chunk.lattice.height):
-            row = chunk.subwindow(local_row, 0, 1, chunk.lattice.width)
-            is_input_last = chunk.last_in_frame and local_row == chunk.lattice.height - 1
-            self._band.append(row)
-            self.stats.buffer_add_chunk(row)
-            self._band_rows += 1
-            if self._band_rows == k:
-                out = self._emit_band(last=is_input_last)
-                if out is not None:
-                    yield out
-            elif is_input_last:
-                self._drop_band()  # incomplete trailing band
-
-    def _flush(self) -> Iterable[Chunk]:
-        self._drop_band()
-        return ()
-
-    # -- columnar kernel ---------------------------------------------------------
-
-    def _coarsened(self, lattice: GridLattice) -> GridLattice:
-        out = self._coarse_cache.get(lattice)
-        if out is None:
-            out = lattice.coarsened(self.k)
-            self._coarse_cache[lattice] = out
-        return out
-
-    def _band_out(self, row_lattice: GridLattice) -> GridLattice:
-        out = self._band_out_cache.get(row_lattice)
-        if out is None:
-            out = row_lattice.window(0, 0, self.k, row_lattice.width).coarsened(self.k)
-            self._band_out_cache[row_lattice] = out
-        return out
-
-    def _coarsened_frame(self, frame: FrameInfo) -> FrameInfo:
-        if frame is not self._fi_in:
-            self._fi_in = frame
-            self._fi_out = FrameInfo(frame.frame_id, self._coarsened(frame.lattice))
-        assert self._fi_out is not None
-        return self._fi_out
-
-    def _drop_col_band(self) -> None:
-        for points, nbytes in self._col_sizes:
-            self.stats.buffer_remove(points, nbytes)
-        self._col_rows = []
-        self._col_sizes = []
-        self._col_first = None
-        self._col_ok = False
-
-    def _emit_col_band(self, last: bool) -> GridChunk | None:
-        k = self.k
-        assert self._col_first is not None
-        first_lattice, first_row0, first_col0, band, sector, frame = self._col_first
-        if self._col_ok and self._col_acc is not None:
-            stack = self._col_acc.stack()
-        else:
-            stack = np.vstack(self._col_rows)
-        width = stack.shape[1]
-        if width < k:
-            # Same narrower-than-one-block drop as the oracle's _emit_band.
-            self._drop_col_band()
-            return None
-        reduced = block_reduce(stack.astype(np.float64), k, self.reducer)
-        if width == first_lattice.width:
-            out_lattice = self._band_out(first_lattice)
-        else:
-            out_lattice = first_lattice.window(0, 0, k, width).coarsened(k)
-        out_frame = None
-        if frame is not None:
-            out_frame = self._coarsened_frame(frame)
-        chunk = fast_grid_chunk(
-            reduced.astype(np.float32),
-            out_lattice,
-            band,
-            self._col_last_t,
-            sector=sector,
-            frame=out_frame,
-            row0=first_row0 // k,
-            col0=first_col0 // k,
-            last_in_frame=last,
-        )
-        self._drop_col_band()
-        return chunk
-
-    def _process_columnar(self, chunk: Chunk) -> Iterable[Chunk]:
-        if isinstance(chunk, PointChunk):
-            raise OperatorError("coarsening is defined on grid streams only")
-        k = self.k
-        if k == 1:
-            yield chunk
-            return
-        frame_id = chunk.frame.frame_id if chunk.frame is not None else None
-        if self._col_rows and frame_id != self._frame_id:
-            self._drop_col_band()
-        self._frame_id = frame_id
-
         height = chunk.lattice.height
         width = chunk.lattice.width
         if (
-            not self._col_rows
+            not self._rows
             and chunk.last_in_frame
             and chunk.row0 == 0
             and height >= k
@@ -429,10 +289,10 @@ class Coarsen(Operator):
         ):
             reduced = block_reduce(chunk.values.astype(np.float64), k, self.reducer)
             frame = chunk.frame
-            out_frame = FrameInfo(frame.frame_id, self._coarsened(frame.lattice)) if frame else None
+            out_frame = FrameInfo(frame.frame_id, self._coarsened[frame.lattice]) if frame else None
             yield fast_grid_chunk(
                 reduced.astype(np.float32),
-                self._coarsened(chunk.lattice),
+                self._coarsened[chunk.lattice],
                 chunk.band,
                 chunk.t,
                 sector=chunk.sector,
@@ -443,11 +303,13 @@ class Coarsen(Operator):
             )
             return
 
+        # Row-accumulation path: multi-row chunks are split into rows so
+        # bands always align to k-row boundaries.
         values = chunk.values
         for local_row in range(height):
             row_values = values[local_row]
-            if not self._col_rows:
-                self._col_first = (
+            if not self._rows:
+                self._first = (
                     chunk.lattice
                     if height == 1
                     else chunk.lattice.window(local_row, 0, 1, width),
@@ -457,28 +319,28 @@ class Coarsen(Operator):
                     chunk.sector,
                     chunk.frame,
                 )
-                if self._col_acc is None or not self._col_acc.matches(
+                if self._acc is None or not self._acc.matches(
                     values.dtype, row_values.shape
                 ):
-                    self._col_acc = BandAccumulator(values.dtype, k, row_values.shape)
-                self._col_ok = True
+                    self._acc = BandAccumulator(values.dtype, k, row_values.shape)
+                self._acc_ok = True
             is_input_last = chunk.last_in_frame and local_row == height - 1
-            if self._col_ok and self._col_acc is not None and self._col_acc.matches(
+            if self._acc_ok and self._acc is not None and self._acc.matches(
                 values.dtype, row_values.shape
             ):
-                self._col_acc.set_row(len(self._col_rows), row_values)
+                self._acc.set_row(len(self._rows), row_values)
             else:
-                self._col_ok = False
-            self._col_rows.append(row_values.reshape((1,) + row_values.shape))
-            self._col_sizes.append((width, int(row_values.nbytes)))
-            self._col_last_t = chunk.t
+                self._acc_ok = False
+            self._rows.append(row_values.reshape((1,) + row_values.shape))
+            self._sizes.append((width, int(row_values.nbytes)))
+            self._last_t = chunk.t
             self.stats.buffer_add(width, int(row_values.nbytes))
-            if len(self._col_rows) == k:
-                out = self._emit_col_band(last=is_input_last)
+            if len(self._rows) == k:
+                out = self._emit_band(last=is_input_last)
                 if out is not None:
                     yield out
             elif is_input_last:
-                self._drop_col_band()  # incomplete trailing band
+                self._drop_band()  # incomplete trailing band
 
     def process_many(self, chunks: list[Chunk]) -> list[Chunk]:
         """Reduce all complete bands of a single-row run in one call.
@@ -492,7 +354,7 @@ class Coarsen(Operator):
         Remainder rows and anything irregular take the per-chunk kernel.
         """
         k = self.k
-        if not self.columnar or k == 1 or self.reducer is not np.mean:
+        if k == 1 or self.reducer is not np.mean:
             return super().process_many(chunks)
         stats = self.stats
         outs: list[Chunk] = []
@@ -500,7 +362,7 @@ class Coarsen(Operator):
         while i < n:
             chunk = chunks[i]
             eligible = (
-                not self._col_rows
+                not self._rows
                 and isinstance(chunk, GridChunk)
                 and chunk.values.ndim == 2
                 and chunk.lattice.height == 1
@@ -532,7 +394,7 @@ class Coarsen(Operator):
                 m = 0
             if m == 0:
                 stats.note_in(chunk)
-                for out in self._process_columnar(chunk):
+                for out in self._process(chunk):
                     stats.note_out(out)
                     outs.append(out)
                 i += 1
@@ -561,7 +423,7 @@ class Coarsen(Operator):
                 outs.append(
                     fast_grid_chunk(
                         reduced[b : b + 1],
-                        self._band_out(first.lattice),
+                        self._band_out[first.lattice],
                         first.band,
                         run[b * k + k - 1].t,
                         sector=first.sector,
@@ -576,8 +438,8 @@ class Coarsen(Operator):
             stats.points_out += m * (width // k)
         return outs
 
-    def _flush_columnar(self) -> Iterable[Chunk]:
-        self._drop_col_band()
+    def _flush(self) -> Iterable[Chunk]:
+        self._drop_band()
         return ()
 
     def output_metadata(self, metadata: StreamMetadata) -> StreamMetadata:
@@ -637,20 +499,41 @@ class _FrameWarp(Operator):
         super().__init__()
         self.method = method
         self.fill = fill
-        self._pending: list[GridChunk] = []
-        self._frame_id: int | None = None
-        # Columnar mode: warp geometry (output lattice + fractional source
-        # indices) is a pure function of the frame lattice, cached across
-        # frames and resets; the paste canvas is reused between frames.
-        self._warp_cache: dict[GridLattice, tuple[GridLattice, np.ndarray, np.ndarray]] = {}
+        # Warp geometry (output lattice + fractional source indices) is a
+        # pure function of the frame lattice, memoized across frames and
+        # resets; the paste canvas is reused between frames.
+        self._warp_geometry: Memo[
+            GridLattice, tuple[GridLattice, np.ndarray, np.ndarray]
+        ] = Memo(self._compute_warp_geometry, FRAME_MEMO_MAX)
         self._canvas: RollingCanvas | None = None
+        self._reset_state()
 
     def _reset_state(self) -> None:
-        self._pending = []
-        self._frame_id = None
+        self._pending: list[GridChunk] = []
+        self._frame_id: int | None = None
 
     def _frame_affine(self, lattice: GridLattice) -> AffineTransform:
         raise NotImplementedError
+
+    def _compute_warp_geometry(
+        self, frame_lattice: GridLattice
+    ) -> tuple[GridLattice, np.ndarray, np.ndarray]:
+        affine = self._frame_affine(frame_lattice)
+        inverse = affine.inverse()
+        # Output lattice: same resolution, covering the warped extent.
+        corners = frame_lattice.bbox.corners()
+        wx, wy = affine.apply(corners[:, 0], corners[:, 1])
+        out_bbox = BoundingBox.from_points(wx, wy, frame_lattice.crs)
+        out_lattice = GridLattice.from_bbox(
+            out_bbox, frame_lattice.dx, frame_lattice.dy, frame_lattice.crs
+        )
+        ox, oy = out_lattice.meshgrid()
+        sx, sy = inverse.apply(ox, oy)
+        return (
+            out_lattice,
+            frame_lattice.fractional_row(sy),
+            frame_lattice.fractional_col(sx),
+        )
 
     def _emit(self) -> Iterable[Chunk]:
         if not self._pending:
@@ -666,33 +549,26 @@ class _FrameWarp(Operator):
                 "frame extent; without it the operator could block forever "
                 "(Section 3.2)"
             )
-        canvas = np.full(frame_lattice.shape, np.nan, dtype=np.float64)
+        height, width = frame_lattice.shape
+        if self._canvas is None or (self._canvas.height, self._canvas.width) != (height, width):
+            self._canvas = RollingCanvas(height, width)
+        else:
+            self._canvas.reset()
+        canvas = self._canvas.grid()
         for c in self._pending:
             canvas[c.row0 : c.row0 + c.lattice.height, c.col0 : c.col0 + c.lattice.width] = (
-                c.values.astype(np.float64)
+                c.values
             )
 
-        affine = self._frame_affine(frame_lattice)
-        inverse = affine.inverse()
-        # Output lattice: same resolution, covering the warped extent.
-        corners = frame_lattice.bbox.corners()
-        wx, wy = affine.apply(corners[:, 0], corners[:, 1])
-        out_bbox = BoundingBox.from_points(wx, wy, frame_lattice.crs)
-        out_lattice = GridLattice.from_bbox(
-            out_bbox, frame_lattice.dx, frame_lattice.dy, frame_lattice.crs
-        )
-        ox, oy = out_lattice.meshgrid()
-        sx, sy = inverse.apply(ox, oy)
-        rows = frame_lattice.fractional_row(sy)
-        cols = frame_lattice.fractional_col(sx)
+        out_lattice, rows, cols = self._warp_geometry[frame_lattice]
         warped = sample(self.method, canvas, rows, cols, fill=self.fill)
 
         frame_id = self._pending[0].frame.frame_id if self._pending[0].frame else 0
-        out = GridChunk(
-            values=warped.astype(np.float32),
-            lattice=out_lattice,
-            band=first.band,
-            t=self._pending[-1].t,
+        out = fast_grid_chunk(
+            warped.astype(np.float32),
+            out_lattice,
+            first.band,
+            self._pending[-1].t,
             sector=first.sector,
             frame=FrameInfo(frame_id, out_lattice),
             row0=0,
@@ -719,90 +595,6 @@ class _FrameWarp(Operator):
 
     def _flush(self) -> Iterable[Chunk]:
         yield from self._emit()
-
-    # -- columnar kernel ---------------------------------------------------------
-
-    def _warp_geometry(self, frame_lattice: GridLattice) -> tuple[GridLattice, np.ndarray, np.ndarray]:
-        entry = self._warp_cache.get(frame_lattice)
-        if entry is None:
-            affine = self._frame_affine(frame_lattice)
-            inverse = affine.inverse()
-            corners = frame_lattice.bbox.corners()
-            wx, wy = affine.apply(corners[:, 0], corners[:, 1])
-            out_bbox = BoundingBox.from_points(wx, wy, frame_lattice.crs)
-            out_lattice = GridLattice.from_bbox(
-                out_bbox, frame_lattice.dx, frame_lattice.dy, frame_lattice.crs
-            )
-            ox, oy = out_lattice.meshgrid()
-            sx, sy = inverse.apply(ox, oy)
-            entry = (
-                out_lattice,
-                frame_lattice.fractional_row(sy),
-                frame_lattice.fractional_col(sx),
-            )
-            self._warp_cache[frame_lattice] = entry
-        return entry
-
-    def _emit_columnar(self) -> Iterable[Chunk]:
-        if not self._pending:
-            return
-        first = self._pending[0]
-        if first.frame is not None:
-            frame_lattice = first.frame.lattice
-        elif len(self._pending) == 1 and first.last_in_frame:
-            frame_lattice = first.lattice
-        else:
-            raise BlockingHazardError(
-                "frame warp needs scan-sector metadata (FrameInfo) to know the "
-                "frame extent; without it the operator could block forever "
-                "(Section 3.2)"
-            )
-        height, width = frame_lattice.shape
-        if self._canvas is None or (self._canvas.height, self._canvas.width) != (height, width):
-            self._canvas = RollingCanvas(height, width)
-        else:
-            self._canvas.reset()
-        canvas = self._canvas.grid()
-        for c in self._pending:
-            canvas[c.row0 : c.row0 + c.lattice.height, c.col0 : c.col0 + c.lattice.width] = (
-                c.values
-            )
-
-        out_lattice, rows, cols = self._warp_geometry(frame_lattice)
-        warped = sample(self.method, canvas, rows, cols, fill=self.fill)
-
-        frame_id = self._pending[0].frame.frame_id if self._pending[0].frame else 0
-        out = fast_grid_chunk(
-            warped.astype(np.float32),
-            out_lattice,
-            first.band,
-            self._pending[-1].t,
-            sector=first.sector,
-            frame=FrameInfo(frame_id, out_lattice),
-            row0=0,
-            col0=0,
-            last_in_frame=True,
-        )
-        for c in self._pending:
-            self.stats.buffer_remove_chunk(c)
-        self._pending = []
-        self._frame_id = None
-        yield out
-
-    def _process_columnar(self, chunk: Chunk) -> Iterable[Chunk]:
-        if isinstance(chunk, PointChunk):
-            raise OperatorError("frame warps are defined on grid streams only")
-        frame_id = chunk.frame.frame_id if chunk.frame is not None else None
-        if self._pending and frame_id != self._frame_id:
-            yield from self._emit_columnar()
-        self._pending.append(chunk)
-        self._frame_id = frame_id
-        self.stats.buffer_add_chunk(chunk)
-        if chunk.last_in_frame:
-            yield from self._emit_columnar()
-
-    def _flush_columnar(self) -> Iterable[Chunk]:
-        yield from self._emit_columnar()
 
     def output_metadata(self, metadata: StreamMetadata) -> StreamMetadata:
         return dc_replace(metadata, value_set=FLOAT32)

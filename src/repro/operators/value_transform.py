@@ -66,18 +66,11 @@ class PointwiseTransform(Operator):
         out = np.asarray(self.fn(chunk.values))
         if self.out_value_set is not None:
             out = self.out_value_set.coerce(out)
-        # Point-count compatibility is enforced by the chunk constructor.
-        yield chunk.with_values(out, band=self.band)
-
-    def _process_columnar(self, chunk: Chunk) -> Iterable[Chunk]:
-        # Same fn and coercion as the oracle; only the chunk derivation is
-        # fast-pathed (with_values re-validates shape on every row chunk).
         if isinstance(chunk, PointChunk):
-            yield from self._process(chunk)
+            # Point-count compatibility is enforced by the chunk constructor.
+            yield chunk.with_values(out, band=self.band)
             return
-        out = np.asarray(self.fn(chunk.values))
-        if self.out_value_set is not None:
-            out = self.out_value_set.coerce(out)
+        # Grid chunks skip with_values' per-row-chunk shape re-validation.
         yield fast_replace_values(chunk, out, band=self.band)
 
     def process_many(self, chunks: list[Chunk]) -> list[Chunk]:
@@ -87,14 +80,10 @@ class PointwiseTransform(Operator):
         transformed and coerced with a single call each, then split back
         into per-chunk views. Both ``fn`` (declared elementwise) and scalar
         coercion (astype/clip/rint, all elementwise) are shape-independent,
-        so the split-out bits equal the per-chunk oracle's exactly.
+        so the split-out bits equal the per-chunk kernel's exactly.
         """
         out_set = self.out_value_set
-        if not (
-            self.columnar
-            and self.elementwise
-            and (out_set is None or not out_set.is_vector)
-        ):
+        if not (self.elementwise and (out_set is None or not out_set.is_vector)):
             return super().process_many(chunks)
         stats = self.stats
         band = self.band
@@ -104,7 +93,7 @@ class PointwiseTransform(Operator):
             first = chunks[i]
             if not isinstance(first, GridChunk) or first.values.ndim != 2:
                 stats.note_in(first)
-                for out in self._process_columnar(first):
+                for out in self._process(first):
                     stats.note_out(out)
                     outs.append(out)
                 i += 1
@@ -241,104 +230,28 @@ class FrameStretch(Operator):
         self.bins = bins
         self.clip_sigma = clip_sigma
         self.out_value_set = output_value_set if output_value_set is not None else GRAY8
-        self._pending: list[GridChunk] = []
-        self._frame_id: int | None = None
-        # Columnar state: one contiguous float64 frame accumulator plus the
-        # (chunk, offset, size) table that splits results back into chunks.
+        # One contiguous float64 frame accumulator plus the (chunk, offset,
+        # size) table that splits results back into chunks.
         self._acc = FrameAccumulator()
-        self._col_pending: list[tuple[GridChunk, int, int]] = []
+        self._reset_state()
 
     def _reset_state(self) -> None:
-        self._pending = []
-        self._frame_id = None
         self._acc.clear()
-        self._col_pending = []
+        self._pending: list[tuple[GridChunk, int, int]] = []
+        self._frame_id: int | None = None
 
     # -- frame machinery ---------------------------------------------------------
-
-    def _emit_frame(self) -> Iterable[Chunk]:
-        if not self._pending:
-            return
-        frame_values = np.concatenate(
-            [c.values.astype(np.float64).ravel() for c in self._pending]
-        )
-        if self.kind == "linear":
-            finite = frame_values[np.isfinite(frame_values)]
-            if finite.size == 0:
-                lo = hi = 0.0
-            else:
-                lo, hi = float(finite.min()), float(finite.max())
-
-            def scale(v: np.ndarray) -> np.ndarray:
-                return linear_stretch(v, lo, hi, self.out_lo, self.out_hi)
-
-        elif self.kind == "equalize":
-            # Equalization and the Gaussian stretch are distribution maps;
-            # compute them on the whole frame at once, then split back.
-            transformed = histogram_equalize(
-                frame_values, bins=self.bins, out_lo=self.out_lo, out_hi=self.out_hi
-            )
-            yield from self._emit_split(transformed)
-            return
-        else:
-            transformed = gaussian_stretch(
-                frame_values,
-                out_lo=self.out_lo,
-                out_hi=self.out_hi,
-                clip_sigma=self.clip_sigma,
-            )
-            yield from self._emit_split(transformed)
-            return
-
-        for chunk in self._pending:
-            self.stats.buffer_remove_chunk(chunk)
-            yield chunk.with_values(self.out_value_set.coerce(scale(chunk.values)))
-        self._pending = []
-        self._frame_id = None
-
-    def _emit_split(self, transformed: np.ndarray) -> Iterable[Chunk]:
-        offset = 0
-        for chunk in self._pending:
-            size = chunk.values.size
-            block = transformed[offset : offset + size].reshape(chunk.values.shape)
-            offset += size
-            self.stats.buffer_remove_chunk(chunk)
-            yield chunk.with_values(self.out_value_set.coerce(block))
-        self._pending = []
-        self._frame_id = None
-
-    def _process(self, chunk: Chunk) -> Iterable[Chunk]:
-        if isinstance(chunk, PointChunk):
-            raise OperatorError(
-                "frame stretches are defined on raster streams; point streams "
-                "have no frames to scale over"
-            )
-        frame_id = chunk.frame.frame_id if chunk.frame is not None else None
-        if self._pending and frame_id != self._frame_id:
-            # A new frame started without a last_in_frame marker.
-            yield from self._emit_frame()
-        self._pending.append(chunk)
-        self._frame_id = frame_id
-        self.stats.buffer_add_chunk(chunk)
-        if chunk.last_in_frame:
-            yield from self._emit_frame()
-
-    def _flush(self) -> Iterable[Chunk]:
-        yield from self._emit_frame()
-
-    # -- columnar kernel ---------------------------------------------------------
     #
-    # The oracle casts every buffered chunk to float64 and concatenates at
-    # frame end; the columnar kernel performs that cast once per chunk *on
-    # arrival* by assignment into a contiguous float64 accumulator (bitwise
-    # the same cast), then runs one whole-frame transform. Scalar value
-    # sets are coerced once over the whole frame — coercion is purely
+    # Each chunk is cast to float64 once *on arrival*, by assignment into a
+    # contiguous float64 accumulator (bitwise the cast the reference does
+    # per chunk at frame end), then one whole-frame transform runs. Scalar
+    # value sets are coerced once over the whole frame — coercion is purely
     # elementwise (astype/clip/rint), so splitting before or after cannot
     # change bits. Vector-valued sets keep per-chunk coercion for its
     # trailing-channel shape check.
 
-    def _emit_frame_columnar(self) -> Iterable[Chunk]:
-        if not self._col_pending:
+    def _emit_frame(self) -> Iterable[Chunk]:
+        if not self._pending:
             return
         frame_values = self._acc.values()
         if self.kind == "linear":
@@ -362,38 +275,39 @@ class FrameStretch(Operator):
         out_set = self.out_value_set
         if not out_set.is_vector:
             coerced = out_set.coerce(transformed)
-            for chunk, offset, size in self._col_pending:
+            for chunk, offset, size in self._pending:
                 self.stats.buffer_remove_chunk(chunk)
                 yield fast_replace_values(
                     chunk, coerced[offset : offset + size].reshape(chunk.values.shape)
                 )
         else:
-            for chunk, offset, size in self._col_pending:
+            for chunk, offset, size in self._pending:
                 self.stats.buffer_remove_chunk(chunk)
                 block = transformed[offset : offset + size].reshape(chunk.values.shape)
                 yield fast_replace_values(chunk, out_set.coerce(block))
-        self._col_pending = []
+        self._pending = []
         self._acc.clear()
         self._frame_id = None
 
-    def _process_columnar(self, chunk: Chunk) -> Iterable[Chunk]:
+    def _process(self, chunk: Chunk) -> Iterable[Chunk]:
         if isinstance(chunk, PointChunk):
             raise OperatorError(
                 "frame stretches are defined on raster streams; point streams "
                 "have no frames to scale over"
             )
         frame_id = chunk.frame.frame_id if chunk.frame is not None else None
-        if self._col_pending and frame_id != self._frame_id:
-            yield from self._emit_frame_columnar()
+        if self._pending and frame_id != self._frame_id:
+            # A new frame started without a last_in_frame marker.
+            yield from self._emit_frame()
         offset, size = self._acc.append(chunk.values)
-        self._col_pending.append((chunk, offset, size))
+        self._pending.append((chunk, offset, size))
         self._frame_id = frame_id
         self.stats.buffer_add_chunk(chunk)
         if chunk.last_in_frame:
-            yield from self._emit_frame_columnar()
+            yield from self._emit_frame()
 
-    def _flush_columnar(self) -> Iterable[Chunk]:
-        yield from self._emit_frame_columnar()
+    def _flush(self) -> Iterable[Chunk]:
+        yield from self._emit_frame()
 
     def output_metadata(self, metadata: StreamMetadata) -> StreamMetadata:
         return dc_replace(metadata, value_set=self.out_value_set)

@@ -245,9 +245,7 @@ class EpochTransition:
         else:
             pairs = tuple((None, child) for child in node.children)
         built = [(side, child, self._build(child, stages)) for side, child in pairs]
-        op = node.make_operator()
-        op.set_execution_mode(dag.columnar)
-        stage = Stage(node, op, dag)
+        stage = Stage(node, node.make_operator(), dag)
         if dag.share:
             dag._by_fingerprint[node.fingerprint] = stage
         dag.order.append(stage)

@@ -49,28 +49,21 @@ def _stamp(op: _OpT, plan: p.PlanNode) -> _OpT:
     return op
 
 
-def plan_to_stream(
-    plan: p.PlanNode,
-    resolve: Callable[[str], GeoStream],
-    columnar: bool | None = None,
-) -> GeoStream:
+def plan_to_stream(plan: p.PlanNode, resolve: Callable[[str], GeoStream]) -> GeoStream:
     """Build the executable GeoStream for a canonical plan.
 
     Fresh operator instances are created per call so that concurrently
-    planned queries never share mutable state. ``columnar`` selects the
-    execution mode for every lowered operator (None: process default).
+    planned queries never share mutable state.
     """
     if isinstance(plan, p.SourceScan):
         return resolve(plan.stream_id)
     if isinstance(plan, p.EmptyPlan):
         return empty_stream(plan.reason)
     if isinstance(plan, p.Compose):
-        left = plan_to_stream(plan.left, resolve, columnar=columnar)
-        right = plan_to_stream(plan.right, resolve, columnar=columnar)
-        return compose_streams(
-            left, right, _stamp(plan.make_operator(), plan), columnar=columnar
-        )
-    child = plan_to_stream(plan.children[0], resolve, columnar=columnar)
+        left = plan_to_stream(plan.left, resolve)
+        right = plan_to_stream(plan.right, resolve)
+        return compose_streams(left, right, _stamp(plan.make_operator(), plan))
+    child = plan_to_stream(plan.children[0], resolve)
     op = _stamp(plan.make_operator(), plan)
     assert isinstance(op, Operator), f"unary plan node built a binary operator: {plan.describe()}"
-    return child.pipe(op, columnar=columnar)
+    return child.pipe(op)

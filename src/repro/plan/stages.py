@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..core.chunk import Chunk
-from ..core.columnar import resolve_columnar
 from ..engine.pipeline import run_step
 from ..errors import PlanError
 from ..faults.recovery import current_recovery
@@ -154,12 +153,8 @@ class Stage:
 class PlanDAG:
     """All registered plans merged into one operator DAG with fan-out."""
 
-    def __init__(self, share: bool = True, columnar: bool | None = None) -> None:
+    def __init__(self, share: bool = True) -> None:
         self.share = share
-        # Execution mode for every stage operator: True = vectorized
-        # columnar kernels, False = per-point oracle, None = the
-        # REPRO_COLUMNAR process default (resolved once at construction).
-        self.columnar = resolve_columnar(columnar)
         # fingerprint -> stage, for subplan reuse (only when sharing).
         self._by_fingerprint: dict[str, Stage] = {}
         # Creation order is topological (children are built first), so

@@ -23,14 +23,11 @@ __all__ = ["plan_query"]
 def plan_query(
     node: q.QueryNode,
     catalog: Mapping[str, GeoStream] | Callable[[str], GeoStream],
-    columnar: bool | None = None,
 ) -> GeoStream:
     """Build the executable GeoStream for a query tree.
 
     ``catalog`` resolves stream ids to source GeoStreams (a mapping or a
     resolver function). Fresh operator instances are created per call.
-    ``columnar`` selects the operators' execution mode (None: the
-    ``REPRO_COLUMNAR`` process default).
     """
     # Imported lazily: repro.plan itself imports the query package.
     from ..plan import canonicalize, plan_to_stream
@@ -56,7 +53,5 @@ def plan_query(
         default_policy="measured",
     )
     return plan_to_stream(
-        plan,
-        lambda sid: sources[sid] if sid in sources else resolve(sid),
-        columnar=columnar,
+        plan, lambda sid: sources[sid] if sid in sources else resolve(sid)
     )

@@ -213,16 +213,14 @@ class DSMSServer:
         recovery: RecoveryContext | None = None,
         share_subplans: bool = True,
         slo: SLOPolicy | None = None,
-        columnar: bool | None = None,
     ) -> None:
         self.catalog = catalog
         self.optimize_queries = optimize_queries
         self._index_factory = index_factory
         # All registered queries merged into one operator DAG; with
         # ``share_subplans`` on, common canonical prefixes execute once
-        # per chunk and fan out to every subscribed query. ``columnar``
-        # picks the operators' execution mode (None: REPRO_COLUMNAR).
-        self.plan_dag = PlanDAG(share=share_subplans, columnar=columnar)
+        # per chunk and fan out to every subscribed query.
+        self.plan_dag = PlanDAG(share=share_subplans)
         # Optional frame-shedding gate ahead of routing; under sustained
         # source stalls (detected via the recovery clock) it is escalated.
         self.ingest_shedder = ingest_shedder
@@ -251,7 +249,7 @@ class DSMSServer:
         self.swap_log: list[EpochSwapRecord] = []
         if metrics_enabled():
             # Every scrape/snapshot from this server identifies the build.
-            register_build_info(columnar=self.plan_dag.columnar)
+            register_build_info()
 
     def serve_telemetry(
         self, host: str = "127.0.0.1", port: int = 0

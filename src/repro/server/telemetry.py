@@ -228,7 +228,7 @@ class TelemetryServer:
             # Re-stamp the build gauge on every scrape: get-or-create
             # semantics make this idempotent, and a registry reset
             # between scrapes (a new observed run) gets it back.
-            register_build_info(columnar=self.dsms.plan_dag.columnar)
+            register_build_info()
             self._send_text(handler, to_prometheus())
         elif path == "/health":
             self._send_json(

@@ -5,8 +5,8 @@ Two families:
 * **Query-tree strategies** (``tree_strategy`` and friends) generate
   random algebra trees over a tiny session-cached GOES environment.
   ``test_property_algebra`` checks closure/rewrite invariants with them;
-  ``test_columnar_differential`` reuses the same trees to assert oracle
-  equivalence of the columnar kernels as a *property*.
+  ``test_columnar_differential`` reuses the same trees to assert the
+  kernels' equivalence to the per-point reference as a *property*.
 * **Data-level strategies** (``lattice_strategy``, ``value_set_strategy``,
   ``grid_chunk_strategy``, ``frame_chunks_strategy``) generate arbitrary
   lattices, value domains, and well-formed chunk sequences, so operator

@@ -1,19 +1,20 @@
-"""Differential harness: columnar kernels against the per-point oracle.
+"""Differential harness: the batch kernels against the per-point reference.
 
-The columnar execution mode is *defined* by equivalence: for every
-pipeline the whole-chunk kernels must deliver bit-identical results to
-the per-point implementations they replace. Four layers of evidence:
+The kernels in ``src/`` are *defined* by equivalence: for every pipeline
+they must deliver bit-identical results to the per-point reference in
+``tests/reference/`` (the "oracle" side below is always built and run
+inside ``reference_kernels()``). Four layers of evidence:
 
-* every documented/example query, registered on a DSMS in both modes —
+* every documented/example query, registered on a DSMS on both sides —
   delivered frames, aggregate records, chunk provenance, and per-stage
   :class:`~repro.obs.stats.StageStats` counts all match exactly;
 * each operator kernel on the pull path, fed the shared demo streams —
   output chunks and the operators' own :class:`OperatorStats` match;
 * oracle equivalence as a *property* — hypothesis-generated query trees
   and hypothesis-generated frames (arbitrary lattices and value domains
-  from :mod:`tests.strategies`) agree in both modes;
-* the chaos matrix — every fault kind, injected identically in both
-  modes, yields identical deliveries, injector counts, and dead letters.
+  from :mod:`tests.strategies`) agree on both sides;
+* the chaos matrix — every fault kind, injected identically on both
+  sides, yields identical deliveries, injector counts, and dead letters.
 """
 
 from __future__ import annotations
@@ -24,10 +25,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
 from repro.cli import build_demo_catalog
-from repro.core import GeoStream, GridChunk, Organization, StreamMetadata, TimeInterval
+from repro.core import (
+    FrameInfo,
+    GeoStream,
+    GridChunk,
+    GridLattice,
+    Organization,
+    StreamMetadata,
+    TimeInterval,
+)
+from repro.core.columnar import FRAME_MEMO_MAX, ROW_MEMO_MAX
 from repro.engine.pipeline import compose_streams
 from repro.faults import FAULT_KINDS, FaultSpec, harden_catalog, recovering
-from repro.geo import BoundingBox, PolygonRegion, utm
+from repro.geo import LATLON, BoundingBox, PolygonRegion, utm
 from repro.operators import (
     Coarsen,
     FrameStretch,
@@ -43,6 +53,7 @@ from repro.operators import (
 from repro.query import plan_query
 from repro.server import DSMSServer
 
+from tests.reference import reference_kernels
 from tests.strategies import (
     BOX,
     SOURCES,
@@ -127,28 +138,31 @@ _KERNELS = {
 class TestKernelDifferential:
     @pytest.mark.parametrize("name", sorted(_KERNELS))
     def test_kernel_bit_identical(self, name):
-        oracle_ops = _KERNELS[name]()
+        with reference_kernels():
+            oracle_ops = _KERNELS[name]()
+            oracle = VIS.pipe(*oracle_ops).collect_chunks()
         columnar_ops = _KERNELS[name]()
-        oracle = VIS.pipe(*oracle_ops, columnar=False).collect_chunks()
-        columnar = VIS.pipe(*columnar_ops, columnar=True).collect_chunks()
+        columnar = VIS.pipe(*columnar_ops).collect_chunks()
         assert [chunk_key(c) for c in oracle] == [chunk_key(c) for c in columnar]
-        # Satellite fix under test: rows/bytes accounting must be identical
-        # in both execution modes, not just the delivered values.
+        # Rows/bytes accounting must be identical to the reference's, not
+        # just the delivered values.
         assert [op.stats for op in oracle_ops] == [op.stats for op in columnar_ops]
 
     @pytest.mark.parametrize("gamma", ["+", "-", "*", "sup", "inf"])
     def test_compose_bit_identical(self, gamma):
-        def run(columnar):
+        def run():
             op = StreamComposition(gamma, timestamp_policy="sector")
-            out = compose_streams(VIS, NIR, op, columnar=columnar).collect_chunks()
+            out = compose_streams(VIS, NIR, op).collect_chunks()
             return [chunk_key(c) for c in out], op.stats
 
-        assert run(False) == run(True)
+        with reference_kernels():
+            oracle = run()
+        assert oracle == run()
 
     def test_kernels_produce_output(self):
         """The differential above is not vacuous: kernels do emit chunks."""
         for name, make in _KERNELS.items():
-            assert VIS.pipe(*make(), columnar=True).collect_chunks(), name
+            assert VIS.pipe(*make()).collect_chunks(), name
 
 
 # -- every documented/example query through the DSMS ------------------------------
@@ -171,9 +185,9 @@ def _documented_queries(imager):
     return seen
 
 
-def _run_all_queries(catalog, queries, columnar):
+def _run_all_queries(catalog, queries):
     """One server, every query registered, full scan under stage stats."""
-    server = DSMSServer(catalog, columnar=columnar)
+    server = DSMSServer(catalog)
     sessions = [server.register(text, encode_png=False) for text in queries]
     with obs.observe(stats=True) as ob:
         server.run()
@@ -199,8 +213,9 @@ class TestDocumentedQueries:
         imager, catalog = demo
         queries = _documented_queries(imager)
         assert len(queries) >= 8
-        oracle = _run_all_queries(catalog, queries, columnar=False)
-        columnar = _run_all_queries(catalog, queries, columnar=True)
+        with reference_kernels():
+            oracle = _run_all_queries(catalog, queries)
+        columnar = _run_all_queries(catalog, queries)
 
         o_frames, o_records, o_stages, o_scans = oracle
         c_frames, c_records, c_stages, c_scans = columnar
@@ -222,8 +237,9 @@ class TestDocumentedQueries:
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(tree=tree_strategy())
 def test_random_trees_oracle_equivalence(tree):
-    oracle = plan_query(tree, SOURCES, columnar=False).collect_chunks()
-    columnar = plan_query(tree, SOURCES, columnar=True).collect_chunks()
+    with reference_kernels():
+        oracle = plan_query(tree, SOURCES).collect_chunks()
+    columnar = plan_query(tree, SOURCES).collect_chunks()
     assert [chunk_key(c) for c in oracle] == [chunk_key(c) for c in columnar]
 
 
@@ -257,7 +273,7 @@ def _ops_for(kind, lattice, value_set):
     ),
 )
 def test_generated_frames_oracle_equivalence(fc, kind):
-    """Arbitrary lattices/value domains agree in both modes, stats included."""
+    """Arbitrary lattices/value domains agree with the reference, stats included."""
     chunks, value_set = fc
     lattice = chunks[0].frame.lattice
     metadata = StreamMetadata(
@@ -269,14 +285,75 @@ def test_generated_frames_oracle_equivalence(fc, kind):
     )
     stream = GeoStream.from_chunks(metadata, chunks)
     make = _ops_for(kind, lattice, value_set)
-    oracle_ops, columnar_ops = make(), make()
-    oracle = stream.pipe(*oracle_ops, columnar=False).collect_chunks()
-    columnar = stream.pipe(*columnar_ops, columnar=True).collect_chunks()
+    with reference_kernels():
+        oracle_ops = make()
+        oracle = stream.pipe(*oracle_ops).collect_chunks()
+    columnar_ops = make()
+    columnar = stream.pipe(*columnar_ops).collect_chunks()
     assert [chunk_key(c) for c in oracle] == [chunk_key(c) for c in columnar]
     assert [op.stats for op in oracle_ops] == [op.stats for op in columnar_ops]
 
 
-# -- chaos matrix: every fault kind x columnar mode -------------------------------
+# -- bounded memos: a stream whose frame lattice keeps moving ----------------------
+
+
+def _moving_frames(n_frames, width=8, height=6):
+    """Whole-frame chunks, every frame on its own lattice (Fig. 1a's camera)."""
+    rng = np.random.default_rng(11)
+    chunks = []
+    for i in range(n_frames):
+        lattice = GridLattice(LATLON, -120.0 + 0.01 * i, 40.0, 0.01, -0.01, width, height)
+        chunks.append(
+            GridChunk(
+                values=rng.integers(0, 1023, (height, width)).astype(np.uint16),
+                lattice=lattice,
+                band="vis",
+                t=float(i),
+                sector=i,
+                frame=FrameInfo(i, lattice),
+                last_in_frame=True,
+            )
+        )
+    metadata = StreamMetadata(
+        "moving", "vis", LATLON, Organization.IMAGE_BY_IMAGE, VIS.metadata.value_set
+    )
+    return GeoStream.from_chunks(metadata, chunks)
+
+
+class TestBoundedMemos:
+    """Per-operator lattice memos stop growing; outputs stay the reference's."""
+
+    @pytest.mark.parametrize(
+        "make, memos, bound",
+        [
+            (lambda: Rotate(30.0), ("_warp_geometry",), FRAME_MEMO_MAX),
+            (lambda: Reproject(utm(10)), ("_navigation",), FRAME_MEMO_MAX),
+            (
+                lambda: SpatialRestriction(
+                    PolygonRegion([(-121.0, 39.9), (0.0, 39.9), (-60.0, 40.1)], crs=LATLON)
+                ),
+                ("_crop_window", "_narrowed_frame", "_region_keep"),
+                ROW_MEMO_MAX,
+            ),
+        ],
+        ids=["rotate", "reproject", "restrict-polygon"],
+    )
+    def test_memos_never_exceed_their_bound(self, make, memos, bound):
+        stream = _moving_frames(3 * bound)
+        op = make()
+        columnar, sizes = [], []
+        for chunk in stream.chunks():
+            columnar.extend(chunk_key(c) for c in op.process(chunk))
+            sizes.append(max(len(getattr(op, name)) for name in memos))
+        columnar.extend(chunk_key(c) for c in op.flush())
+        assert max(sizes) == bound  # filled, emptied, never beyond
+        assert sizes.count(1) >= 3  # ... three times over
+        with reference_kernels():
+            oracle = [chunk_key(c) for c in stream.pipe(make()).chunks()]
+        assert oracle and oracle == columnar
+
+
+# -- chaos matrix: every fault kind, kernels vs reference -------------------------
 
 
 class TestChaosColumnar:
@@ -288,10 +365,10 @@ class TestChaosColumnar:
     def test_chaos_bit_identical_across_modes(self, kind, seed):
         """Same seeded faults, same deliveries, whichever kernels run."""
 
-        def run(columnar):
+        def run():
             spec = FaultSpec.single(kind, seed=seed)
             hardened, injector, ctx = harden_catalog(make_chaos_catalog(), spec)
-            server = DSMSServer(hardened, recovery=ctx, columnar=columnar)
+            server = DSMSServer(hardened, recovery=ctx)
             session = server.register("reflectance(goes.vis)", encode_png=False)
             with recovering(ctx):
                 server.run()
@@ -300,7 +377,8 @@ class TestChaosColumnar:
             ]
             return frames, dict(injector.counts), dict(ctx.dead_letter.by_reason)
 
-        oracle = run(False)
-        columnar = run(True)
+        with reference_kernels():
+            oracle = run()
+        columnar = run()
         assert oracle == columnar
         assert oracle[1][kind] > 0, f"{kind}@{seed} injected nothing"

@@ -9,6 +9,7 @@ from repro.engine import (
     compose_streams,
     format_report,
     iter_pipeline_operators,
+    pipeline,
     pipeline_report,
 )
 from repro.engine.scheduler import merge_sources
@@ -47,6 +48,59 @@ class TestApplyOperators:
         assert float(out.values[0, 0]) == 5.0
 
 
+class TestBlockReadAhead:
+    """The bare pull path reads ahead by a point budget, not a chunk count."""
+
+    @staticmethod
+    def _counting(width, height, n_chunks):
+        """A source of ``n_chunks`` (height x width) chunks that counts pulls."""
+        lattice = GridLattice(LATLON, 0.0, float(height), 1.0, -1.0, width, height)
+        meta = StreamMetadata("src", "b", LATLON, Organization.IMAGE_BY_IMAGE, FLOAT32)
+        chunks = [
+            GridChunk(
+                np.full((height, width), float(i), dtype=np.float32), lattice, "b", float(i)
+            )
+            for i in range(n_chunks)
+        ]
+        pulled = [0]
+
+        def source():
+            for chunk in chunks:
+                pulled[0] += 1
+                yield chunk
+
+        return GeoStream(meta, source), chunks, pulled
+
+    @pytest.mark.parametrize(
+        "width, height, expected",
+        [
+            (64, 1, pipeline._BLOCK_CHUNKS),  # one-row chunks: still a full block
+            (64, 48, pipeline._BLOCK_POINTS // (64 * 48)),  # whole frames: the budget
+            (1024, 1024, 1),  # a chunk over the budget travels alone
+        ],
+    )
+    def test_read_ahead_is_bounded_in_points(self, width, height, expected):
+        stream, chunks, pulled = self._counting(width, height, 300 if height > 1 else 600)
+        ops = [Rescale(2.0, 1.0), Rescale(0.5, -1.0)]
+        it = stream.pipe(*ops).chunks()
+        first = next(it)
+        assert pulled[0] == expected
+        assert pulled[0] == 1 or pulled[0] * width * height <= pipeline._BLOCK_POINTS
+        # Where blocks are cut cannot change outputs or stats: same chunks
+        # and counters as feeding the operators one chunk at a time.
+        outs = [first, *it]
+        loop_ops = [Rescale(2.0, 1.0), Rescale(0.5, -1.0)]
+        expected_outs = chunks
+        for op in loop_ops:
+            expected_outs = [o for c in expected_outs for o in op.process(c)]
+            assert list(op.flush()) == []
+        assert len(outs) == len(expected_outs) == len(chunks)
+        for got, want in zip(outs, expected_outs):
+            assert got.t == want.t and np.array_equal(got.values, want.values)
+        for op, loop_op in zip(ops, loop_ops):
+            assert op.stats == loop_op.stats
+
+
 class TestChunkTime:
     def test_grid_chunk(self):
         stream = make_stream("a", [7.5])
@@ -68,8 +122,7 @@ class TestComposeMerging:
         seen = []
 
         class Spy(StreamComposition):
-            # Spy on the public entry point so the order check holds in
-            # both per-point and columnar execution modes.
+            # Spy on the public entry point, not a hook the kernels own.
             def process_side(self, side, chunk):
                 seen.append((side, chunk.t))
                 return super().process_side(side, chunk)

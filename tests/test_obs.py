@@ -192,11 +192,11 @@ class TestPrometheusExport:
 
     def test_build_info_gauge(self):
         reg = MetricsRegistry()
-        obs.register_build_info(reg, columnar=False)
-        obs.register_build_info(reg, columnar=False)  # idempotent (scrape path)
+        obs.register_build_info(reg)
+        obs.register_build_info(reg)  # idempotent (scrape path)
         text = obs.to_prometheus(reg)
         assert text.count("# TYPE repro_build_info gauge") == 1
-        assert 'columnar="0"' in text
+        assert "columnar" not in text  # one execution mode: not a dimension
         assert 'python="' in text
         assert 'version="' in text
         [snap] = reg.snapshot()

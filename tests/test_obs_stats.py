@@ -28,6 +28,7 @@ from repro.query.planner import plan_query
 from repro.server import DSMSServer, StreamCatalog
 
 from tests.conftest import DAY_T0, sector_subbox
+from tests.reference import reference_kernels
 
 Q_VRANGE = "vrange(reflectance(goes.vis), 0.0, 0.4)"
 Q_STRETCH = "stretch(reflectance(goes.vis), 'linear')"
@@ -466,30 +467,30 @@ class TestFastPathOverhead:
     def test_columnar_mode_makes_no_per_point_callbacks(
         self, catalog, small_imager, monkeypatch
     ):
-        """Columnar kernels never fall back to per-chunk Python derivation.
+        """The kernels never fall back to per-chunk Python derivation.
 
-        ``GridChunk.subwindow`` / ``with_values`` are the oracle's per-row
-        and per-chunk callbacks; the columnar fast path must construct its
-        outputs from whole-buffer operations only.
+        ``GridChunk.subwindow`` / ``with_values`` are the per-point
+        reference's per-row and per-chunk callbacks; production must
+        construct its outputs from whole-buffer operations only.
         """
         from repro.core import GridChunk
 
         def forbidden(self, *args, **kwargs):
-            raise AssertionError("per-point callback on the columnar path")
+            raise AssertionError("per-point callback in a production kernel")
 
         monkeypatch.setattr(GridChunk, "subwindow", forbidden)
         monkeypatch.setattr(GridChunk, "with_values", forbidden)
-        server = DSMSServer(catalog, columnar=True)
+        server = DSMSServer(catalog)
         session = server.register(
             self._per_point_query(small_imager), encode_png=False
         )
         server.run()
-        assert session.frames  # the run completed without the oracle hooks
+        assert session.frames  # the run completed without the reference hooks
 
     def test_per_point_mode_does_use_the_callbacks(
         self, catalog, small_imager, monkeypatch
     ):
-        """Sanity check: the same pipeline trips the guard in oracle mode."""
+        """Sanity check: the same query trips the guard on the reference."""
         from repro.core import GridChunk
 
         def forbidden(self, *args, **kwargs):
@@ -497,10 +498,11 @@ class TestFastPathOverhead:
 
         monkeypatch.setattr(GridChunk, "subwindow", forbidden)
         monkeypatch.setattr(GridChunk, "with_values", forbidden)
-        server = DSMSServer(catalog, columnar=False)
-        server.register(self._per_point_query(small_imager), encode_png=False)
-        with pytest.raises(AssertionError, match="per-point"):
-            server.run()
+        with reference_kernels():
+            server = DSMSServer(catalog)
+            server.register(self._per_point_query(small_imager), encode_png=False)
+            with pytest.raises(AssertionError, match="per-point"):
+                server.run()
 
 
 class TestGaugeSnapshotGap:

@@ -100,7 +100,6 @@ def run_with_swap(
     query=None,
     *,
     swap_after_frames=2,
-    columnar=None,
     reason="test-replan",
     **replan_kw,
 ):
@@ -117,7 +116,7 @@ def run_with_swap(
 
     after = per_frame * (swap_after_frames - 1) + 2  # safely mid-frame
     catalog = hooked_catalog(imager, after, fire)
-    server = DSMSServer(catalog, optimize_queries=False, columnar=columnar)
+    server = DSMSServer(catalog, optimize_queries=False)
     session = server.register(query, encode_png=False)
     box["server"], box["session"] = server, session
     server.run()
@@ -202,19 +201,14 @@ class TestEpochBookkeeping:
 
 
 class TestHotSwapCutover:
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_no_dropped_or_duplicated_frames(
-        self, epoch_catalog, epoch_imager, columnar
-    ):
+    def test_no_dropped_or_duplicated_frames(self, epoch_catalog, epoch_imager):
         query = swap_query(epoch_imager)
-        reference = DSMSServer(
-            epoch_catalog, optimize_queries=False, columnar=columnar
-        )
+        reference = DSMSServer(epoch_catalog, optimize_queries=False)
         ref_session = reference.register(query, encode_png=False)
         reference.run()
         assert len(ref_session.frames) == N_FRAMES
 
-        server, session = run_with_swap(epoch_imager, query, columnar=columnar)
+        server, session = run_with_swap(epoch_imager, query)
         frames = session.frames
         assert len(frames) == N_FRAMES
         # DeliveredFrame sequence numbers: contiguous across the swap —

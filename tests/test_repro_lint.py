@@ -270,6 +270,34 @@ def test_rl007_allows_logical_clock_code(tmp_path):
     assert lint_source(tmp_path, "src/repro/obs/timeline.py", src) == []
 
 
+# -- RL008: src/ neither imports tests nor reads the environment ------------------
+
+
+def test_rl008_flags_tests_imports_under_src(tmp_path):
+    src = "import tests.reference\nfrom tests.reference import reference_kernels\n"
+    found = codes(lint_source(tmp_path, "src/repro/operators/base.py", src))
+    assert found == ["RL008", "RL008"]
+
+
+def test_rl008_flags_environment_reads_under_src(tmp_path):
+    src = (
+        "import os\nfrom os import environ, getenv\n\n"
+        "A = os.environ.get('REPRO_COLUMNAR')\nB = os.getenv('REPRO_NUMPY')\n"
+    )
+    found = codes(lint_source(tmp_path, "src/repro/core/columnar.py", src))
+    assert found == ["RL008"] * 4  # both from-imports, both attribute reads
+
+
+def test_rl008_allows_them_outside_src_and_lookalikes_inside(tmp_path):
+    src = "import os\nfrom tests.reference import reference_kernels\nX = os.environ.get('X')\n"
+    assert lint_source(tmp_path, "benchmarks/conftest.py", src) == []
+    assert lint_source(tmp_path, "tests/test_x.py", src) == []
+    # Relative imports, other os attributes and names merely containing
+    # "tests" are not the rule's business.
+    src = "import os\nfrom . import tests\nimport testsuite\nP = os.path.join('a', 'b')\n"
+    assert lint_source(tmp_path, "src/repro/core/x.py", src) == []
+
+
 # -- framework --------------------------------------------------------------------
 
 

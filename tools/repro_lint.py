@@ -45,6 +45,12 @@ Rules:
   that tests can assert exactly — only holds if every timestamp is a
   logical time passed in by the caller (DSMS stream clock or fault-layer
   ``SimClock``).
+* **RL008 — no way back to a second execution mode.** ``src/`` holds one
+  implementation of each operator; the per-point reference lives in
+  ``tests/reference/`` and is installed by tests, never selected by
+  production. So no module under ``src/`` may import ``tests``, and none
+  may read the process environment (``os.environ`` / ``os.getenv``):
+  behaviour is decided by arguments, not by a variable nobody measures.
 """
 
 from __future__ import annotations
@@ -481,6 +487,46 @@ def _check_timeline_clock(rel: str, tree: ast.AST) -> Iterator[Violation]:
                 )
 
 
+# -- RL008: src/ neither imports tests nor reads the environment ------------------
+
+ENVIRON_NAMES = frozenset({"environ", "environb", "getenv", "getenvb"})
+
+
+def _check_no_mode_switch(rel: str, tree: ast.AST) -> Iterator[Violation]:
+    if not rel.startswith("src/"):
+        return
+    for node in ast.walk(tree):
+        # Dotted names this node brings in or reads: modules, os.<attr>.
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            names = [module] + [f"os.{a.name}" for a in node.names if module == "os"]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            names = [f"os.{node.attr}"]
+        else:
+            continue
+        for name in names:
+            head, _, attr = name.partition(".")
+            if head == "tests":
+                message = (
+                    f"import of {name!r} under src/; the per-point reference "
+                    "is installed by tests, never imported by production"
+                )
+            elif head == "os" and attr in ENVIRON_NAMES:
+                message = (
+                    f"{name} under src/; pass settings as arguments, not "
+                    "through the environment"
+                )
+            else:
+                continue
+            yield Violation(rel, node.lineno, node.col_offset, "RL008", message)
+
+
 _CHECKS = (
     _check_timing,
     _check_private_imports,
@@ -489,6 +535,7 @@ _CHECKS = (
     _check_seeded_random,
     _check_stage_table_mutation,
     _check_timeline_clock,
+    _check_no_mode_switch,
 )
 
 
