@@ -59,9 +59,6 @@ class SourceSpan:
     start: int
     end: int
 
-    def excerpt(self, text: str) -> str:
-        return text[self.start : self.end]
-
 
 @dataclass(frozen=True)
 class CodeInfo:

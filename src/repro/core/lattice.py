@@ -118,11 +118,6 @@ class GridLattice:
     def fractional_row(self, y: np.ndarray | float) -> np.ndarray:
         return (np.asarray(y, dtype=float) - self.y0) / self.dy
 
-    def index_in_bounds(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
-        row = np.asarray(row)
-        col = np.asarray(col)
-        return (row >= 0) & (row < self.height) & (col >= 0) & (col < self.width)
-
     # -- extent ---------------------------------------------------------------
 
     @property

@@ -83,9 +83,6 @@ class ValueSet:
 
     # -- membership & coercion ---------------------------------------------
 
-    def expected_trailing_shape(self) -> tuple[int, ...]:
-        return (self.channels,) if self.is_vector else ()
-
     def contains(self, values: np.ndarray) -> bool:
         """True when the array's dtype, shape, and range fit this set."""
         values = np.asarray(values)

@@ -270,14 +270,6 @@ class FrameTrace:
     def total_queue_s(self) -> float:
         return sum(h.queue_s for h in self.hops)
 
-    @property
-    def elapsed_s(self) -> float:
-        starts = [h.first_s for h in self.hops if h.first_s != float("inf")]
-        ends = [h.last_s for h in self.hops if h.last_s]
-        if not starts or not ends:
-            return 0.0
-        return max(0.0, max(ends) - min(starts))
-
     def to_dict(self) -> dict:
         return {
             "trace_id": self.trace_id,

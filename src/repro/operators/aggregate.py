@@ -115,9 +115,6 @@ class TemporalAggregate(Operator):
         self._frames = deque()
         self._out_frame_id = 0
 
-    def _window_points(self, image: RasterImage) -> int:
-        return image.n_points
-
     def _push_frame(self, image: RasterImage) -> Iterable[Chunk]:
         if self._frames and not self._frames[0].lattice.aligned_with(image.lattice):
             raise OperatorError(

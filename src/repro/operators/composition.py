@@ -208,11 +208,6 @@ class StreamComposition(BinaryOperator):
             self._waiting[side].clear()
         return ()
 
-    @property
-    def unmatched_counts(self) -> tuple[int, int]:
-        """(left, right) chunks currently waiting for a partner."""
-        return (len(self._waiting["left"]), len(self._waiting["right"]))
-
     def output_metadata(
         self, left: StreamMetadata, right: StreamMetadata
     ) -> StreamMetadata:

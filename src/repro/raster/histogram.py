@@ -102,9 +102,6 @@ class StreamingHistogram:
             raise OperatorError("histogram is empty")
         return np.cumsum(self.counts) / total
 
-    def bin_edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.bins + 1)
-
     def bin_of(self, values: np.ndarray) -> np.ndarray:
         """Bin index of each value (clipped into range)."""
         values = np.asarray(values, dtype=float)

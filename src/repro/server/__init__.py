@@ -1,8 +1,9 @@
 """DSMS server (Fig. 3): catalog, protocol, sessions, router."""
 
 from .catalog import StreamCatalog
-from .dsms import DSMSServer, RouterStats, source_prune_boxes
+from .dsms import DSMSServer
 from .protocol import Request, format_query_request, parse_request
+from .routing import RouterStats, source_prune_boxes
 from .session import AggregateRecord, ClientSession, SessionCheckpoint
 from .telemetry import TelemetryServer, fetch_json, render_top, sparkline
 

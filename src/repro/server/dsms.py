@@ -18,12 +18,11 @@ from ..core.chunk import Chunk, GridChunk
 from ..core.provenance import Provenance
 from ..engine.pipeline import chunk_time
 from ..engine.scheduler import merge_sources
-from ..errors import GeoStreamsError, QueryAnalysisError, RegionError, ServerError
+from ..errors import GeoStreamsError, QueryAnalysisError, ServerError
 from ..faults.recovery import RecoveryContext, current_recovery
 from ..geo.region import BoundingBox
 from ..index.base import RegionIndex
 from ..index.cascade_tree import CascadeTree
-from ..index.naive import NaiveRegionIndex
 from ..obs.export import register_build_info
 from ..obs.registry import get_registry, metrics_enabled
 from ..obs.slo import SLOMonitor, SLOPolicy
@@ -48,6 +47,7 @@ from ..query.optimizer import optimize
 from ..query.parser import parse_query
 from .catalog import StreamCatalog
 from .protocol import Request, parse_request
+from .routing import Router, RouterStats, source_prune_boxes
 from .session import ClientSession, SessionCheckpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,86 +56,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.diagnostics import DiagnosticReport
     from ..engine.stats import OperatorReport
     from .telemetry import TelemetryServer
+    from ..obs.timeline import MetricStore
     from ..obs.trace import FrameTracer
     from ..plan.stages import PlanStats
     from ..query.calibration import CalibrationProfile
     from ..query.cost import StreamProfile
 
-__all__ = ["DSMSServer", "source_prune_boxes", "RouterStats", "EpochSwapRecord"]
-
-# Nodes a source-level pruning box may pass through unchanged: they keep
-# point geometry intact (values and timestamps may change freely).
-_GEOMETRY_PRESERVING = (
-    q.TemporalRestrict,
-    q.ValueRestrict,
-    q.ValueMap,
-    q.Stretch,
-    q.TemporalAgg,
-)
-
-
-def source_prune_boxes(node: q.QueryNode) -> dict[str, BoundingBox | None]:
-    """Per-source routing rectangles implied by a (rewritten) query tree.
-
-    Walks the tree carrying the intersection of spatial restrictions seen
-    on the path, resetting at geometry-changing operators (re-projection,
-    zooming, warps). A source mapped to ``None`` needs every chunk.
-    Multiple references to the same source union their boxes.
-    """
-    out: dict[str, BoundingBox | None] = {}
-
-    def visit(n: q.QueryNode, box: BoundingBox | None) -> None:
-        if isinstance(n, q.StreamRef):
-            if n.stream_id in out:
-                prev = out[n.stream_id]
-                if prev is None or box is None:
-                    out[n.stream_id] = None
-                elif prev.crs == box.crs:
-                    out[n.stream_id] = prev.union(box)
-                else:
-                    out[n.stream_id] = None
-            else:
-                out[n.stream_id] = box
-            return
-        if isinstance(n, q.SpatialRestrict):
-            rbox = n.region.bounding_box
-            if box is not None and box.crs == rbox.crs:
-                inter = box.intersection(rbox)
-                rbox = inter if inter is not None else BoundingBox(
-                    rbox.xmin, rbox.ymin, rbox.xmin, rbox.ymin, rbox.crs
-                )
-            visit(n.child, rbox)
-            return
-        if isinstance(n, _GEOMETRY_PRESERVING):
-            visit(n.children[0], box)
-            return
-        if isinstance(n, q.Compose):
-            visit(n.left, box)
-            visit(n.right, box)
-            return
-        # Geometry-changing operator: the box (in output coordinates) says
-        # nothing directly about source coordinates.
-        for child in n.children:
-            visit(child, None)
-
-    visit(node, None)
-    return out
-
-
-@dataclass
-class RouterStats:
-    """How much work the shared restriction stage saved."""
-
-    chunks_scanned: int = 0
-    pairs_routed: int = 0  # (chunk, query) pairs actually fed
-    pairs_skipped: int = 0  # pairs pruned by the region index
-    fallbacks: int = 0  # routers rebuilt as naive indexes after a failure
-    chunks_shed: int = 0  # chunks dropped by the ingest shedder
-
-    @property
-    def prune_fraction(self) -> float:
-        total = self.pairs_routed + self.pairs_skipped
-        return self.pairs_skipped / total if total else 0.0
+__all__ = ["DSMSServer", "EpochSwapRecord"]
 
 
 class _Fanout:
@@ -172,6 +99,11 @@ class _Registration:
     def sessions(self) -> list[ClientSession]:
         return self.fanout.sessions
 
+    @property
+    def delivered(self) -> int:
+        """Frames and records delivered so far, over all subscribers."""
+        return sum(len(s.frames) + len(s.records) for s in self.sessions)
+
 
 @dataclass(frozen=True)
 class _PendingSwap:
@@ -201,6 +133,40 @@ class EpochSwapRecord:
     at_chunk: int
 
 
+class _StallValve:
+    """Escalates the ingest shedder while a source downlink is stalled.
+
+    The fault clock advances only when a source sleeps, so a large jump
+    between consecutive chunks is a stalled downlink; the ``valve`` (if
+    any) relaxes again after ``stall_relax_after`` healthy chunks.
+    """
+
+    def __init__(self, ctx: RecoveryContext, valve: Operator | None) -> None:
+        self.ctx = ctx
+        self.valve = valve
+        self.clock_last = ctx.clock.now()
+        self.healthy_streak = 0
+        self.escalated = False
+
+    def tick(self) -> float:
+        """Note one scanned chunk; returns the fault-clock time."""
+        ctx = self.ctx
+        clock_now = ctx.clock.now()
+        if clock_now - self.clock_last >= ctx.stall_threshold_s:
+            ctx.note_stall()
+            self.healthy_streak = 0
+            if self.valve is not None:
+                self.valve.escalate()
+                self.escalated = True
+        else:
+            self.healthy_streak += 1
+            if self.escalated and self.healthy_streak >= ctx.stall_relax_after:
+                self.valve.relax()
+                self.escalated = False
+        self.clock_last = clock_now
+        return clock_now
+
+
 class DSMSServer:
     """In-process DSMS: register continuous queries, then run the scan."""
 
@@ -216,7 +182,6 @@ class DSMSServer:
     ) -> None:
         self.catalog = catalog
         self.optimize_queries = optimize_queries
-        self._index_factory = index_factory
         # All registered queries merged into one operator DAG; with
         # ``share_subplans`` on, common canonical prefixes execute once
         # per chunk and fan out to every subscribed query.
@@ -226,12 +191,6 @@ class DSMSServer:
         self.ingest_shedder = ingest_shedder
         # Explicit recovery context; falls back to the installed one.
         self.recovery = recovery
-        # One region index per source stream (regions live in that CRS).
-        self._routers: dict[str, RegionIndex] = {}
-        # What each router holds, kept so a failing router can be rebuilt
-        # as a naive index without losing any registration.
-        self._router_boxes: dict[str, dict[int, BoundingBox]] = {}
-        self._always: dict[str, set[int]] = {}
         # reg_id -> shared registration; session_id -> reg_id.
         self._registrations: dict[int, _Registration] = {}
         self._session_to_reg: dict[int, int] = {}
@@ -239,6 +198,10 @@ class DSMSServer:
         self._next_reg_id = 1
         self._now = 0.0  # stream-time clock: measured time of the latest chunk
         self.router_stats = RouterStats()
+        # The shared restriction stage: which registrations want a chunk.
+        self.router = Router(
+            catalog, index_factory, self.router_stats, self._recovery_ctx
+        )
         # Optional delivery-lag SLO: per-query watermarks, repro_slo_*
         # metrics, breach callbacks, and shedding escalation.
         self.slo_monitor = SLOMonitor(slo) if slo is not None else None
@@ -327,30 +290,22 @@ class DSMSServer:
         )
         shared = self._find_shared(plan)
         if shared is not None:
-            shared.fanout.sessions.append(session)
-            shared_rid = next(
-                rid for rid, reg in self._registrations.items() if reg is shared
+            reg_id, registration = shared
+        else:
+            reg_id = self._next_reg_id
+            self._next_reg_id += 1
+            fanout = _Fanout()
+            boxes = source_prune_boxes(optimized)
+            stages = self.plan_dag.add_plan(plan, fanout, reg_id)
+            registration = self._registrations[reg_id] = _Registration(
+                fanout, plan, stages, boxes, plan_source_ids(plan),
+                tree=tree, optimized=optimized,
             )
-            self._session_to_reg[session.session_id] = shared_rid
-            session.bind_trace(shared_rid)
-            session.bind_epoch(self.plan_dag.current_epoch(shared_rid))
-            return session
-
-        fanout = _Fanout()
-        fanout.sessions.append(session)
-        boxes = source_prune_boxes(optimized)
-        reg_id = self._next_reg_id
-        self._next_reg_id += 1
-        stages = self.plan_dag.add_plan(plan, fanout, reg_id)
-        registration = _Registration(
-            fanout, plan, stages, boxes, plan_source_ids(plan),
-            tree=tree, optimized=optimized,
-        )
-        self._registrations[reg_id] = registration
+            self.router.add(reg_id, boxes)
+        registration.fanout.sessions.append(session)
         self._session_to_reg[session.session_id] = reg_id
         session.bind_trace(reg_id)
         session.bind_epoch(self.plan_dag.current_epoch(reg_id))
-        self._route(reg_id, boxes)
         return session
 
     def register_query(
@@ -397,13 +352,13 @@ class DSMSServer:
 
         return check_server(self)
 
-    def _find_shared(self, plan: PlanNode) -> _Registration | None:
-        for registration in self._registrations.values():
+    def _find_shared(self, plan: PlanNode) -> tuple[int, _Registration] | None:
+        for reg_id, registration in self._registrations.items():
             if (
                 registration.plan.fingerprint == plan.fingerprint
                 and registration.plan == plan
             ):
-                return registration
+                return reg_id, registration
         return None
 
     def _common_timestamp_policy(self, tree: q.QueryNode) -> str:
@@ -414,52 +369,8 @@ class DSMSServer:
         }
         return policies.pop() if len(policies) == 1 else "sector"  # default
 
-    def _route(self, reg_id: int, boxes: dict[str, BoundingBox | None]) -> None:
-        for stream_id, box in boxes.items():
-            if box is None:
-                self._always.setdefault(stream_id, set()).add(reg_id)
-                continue
-            stream_crs = self.catalog.get(stream_id).crs
-            if box.crs != stream_crs:
-                try:
-                    box = box.transformed(stream_crs)
-                except RegionError:
-                    self._always.setdefault(stream_id, set()).add(reg_id)
-                    continue
-            router = self._routers.get(stream_id)
-            if router is None:
-                router = self._index_factory()
-                self._routers[stream_id] = router
-            self._router_boxes.setdefault(stream_id, {})[reg_id] = box
-            try:
-                router.insert(reg_id, box)
-            except GeoStreamsError:
-                if self._recovery_ctx() is None:
-                    raise
-                # The rebuild replays every remembered box, including the
-                # one whose insert just failed.
-                self._router_fallback(stream_id)
-
     def _recovery_ctx(self) -> RecoveryContext | None:
         return self.recovery if self.recovery is not None else current_recovery()
-
-    def _router_fallback(self, stream_id: str) -> RegionIndex:
-        """Rebuild a failing router as a naive linear-scan index.
-
-        Graceful degradation: a cascade-tree bug must cost routing
-        *performance*, never routing *correctness* — the naive index
-        answers the same overlap queries from the remembered rectangles.
-        """
-        router = NaiveRegionIndex()
-        for reg_id, box in self._router_boxes.get(stream_id, {}).items():
-            router.insert(reg_id, box)
-        self._routers[stream_id] = router
-        self.router_stats.fallbacks += 1
-        if metrics_enabled():
-            get_registry().counter(
-                "repro_faults_router_fallbacks_total", stream=stream_id
-            ).inc()
-        return router
 
     def deregister(self, session_id: int) -> None:
         reg_id = self._session_to_reg.pop(session_id, None)
@@ -478,18 +389,7 @@ class DSMSServer:
         # Refcounted teardown: only stages no surviving query subscribes
         # to are pruned from the shared DAG.
         self.plan_dag.remove_plan(reg_id, registration.stages)
-        self._unroute(reg_id, registration.boxes)
-
-    def _unroute(self, reg_id: int, boxes: dict[str, BoundingBox | None]) -> None:
-        """Remove one registration's routing entries for ``boxes``."""
-        for stream_id in boxes:
-            router = self._routers.get(stream_id)
-            if router is not None and reg_id in router:
-                router.remove(reg_id)
-            self._router_boxes.get(stream_id, {}).pop(reg_id, None)
-            always = self._always.get(stream_id)
-            if always is not None:
-                always.discard(reg_id)
+        self.router.remove(reg_id, registration.boxes)
 
     def restore_session(self, checkpoint: SessionCheckpoint) -> ClientSession:
         """Re-register a dropped client's query and resume past its checkpoint.
@@ -515,11 +415,14 @@ class DSMSServer:
         self.adaptive = policy if policy is not None else AdaptivePolicy()
         return self.adaptive
 
+    def _reg_id(self, query: ClientSession | int) -> int:
+        """Registration id of a session, a session id, or a registration id."""
+        key = query.session_id if isinstance(query, ClientSession) else query
+        return self._session_to_reg.get(key, key)
+
     def epoch_of(self, query: ClientSession | int) -> int:
         """Current plan epoch of a session/registration (0 if unknown)."""
-        key = query.session_id if isinstance(query, ClientSession) else query
-        rid = self._session_to_reg.get(key, key)
-        return self.plan_dag.current_epoch(rid)
+        return self.plan_dag.current_epoch(self._reg_id(query))
 
     def request_replan(
         self,
@@ -539,8 +442,7 @@ class DSMSServer:
         a swap was queued (the re-optimized plan differs from the running
         one, a shed-rate change was requested, or ``force``).
         """
-        key = query.session_id if isinstance(query, ClientSession) else query
-        rid = self._session_to_reg.get(key, key)
+        rid = self._reg_id(query)
         reg = self._registrations.get(rid)
         if reg is None:
             raise ServerError(f"unknown query/session id {query!r}")
@@ -614,9 +516,9 @@ class DSMSServer:
         reg.optimized = pending.optimized
         new_boxes = source_prune_boxes(pending.optimized)
         if new_boxes != reg.boxes:
-            self._unroute(rid, reg.boxes)
+            self.router.remove(rid, reg.boxes)
             reg.boxes = new_boxes
-            self._route(rid, new_boxes)
+            self.router.add(rid, new_boxes)
         for session in reg.sessions:
             session.bind_epoch(result.new_epoch)
         shedder = self.ingest_shedder
@@ -654,31 +556,6 @@ class DSMSServer:
                     reason=decision.reason,
                     shed_pressure=decision.shed_pressure,
                 )
-
-    def observe_adaptive_costs(
-        self, collector: StatsCollector | None = None
-    ) -> bool:
-        """Feed observed stage costs to the adaptive policy.
-
-        The cost-divergence trigger prices this run's observed stage
-        statistics against the policy's calibration profile; call at any
-        coarse cadence (end of run, frame boundaries). Returns True when a
-        re-plan was queued.
-        """
-        policy = self.adaptive
-        if policy is None or policy.calibration is None:
-            return False
-        samples = self.calibration_samples(collector)
-        queued = False
-        for rid in list(self._registrations):
-            decision = policy.observe_costs(rid, samples)
-            if decision is not None:
-                queued |= self.request_replan(
-                    rid,
-                    reason=decision.reason,
-                    shed_pressure=decision.shed_pressure,
-                )
-        return queued
 
     # -- protocol front door ----------------------------------------------------------
 
@@ -722,25 +599,27 @@ class DSMSServer:
     def _observe_slo(
         self,
         monitor: SLOMonitor,
-        seen: dict[int, int],
-        last_clock: dict[int, float],
+        valve: Operator | None,
+        progress: dict[int, tuple[int, float]],
         clock_now: float | None,
     ) -> None:
         """Update every query's lag picture after one scanned chunk.
 
-        Breach edges drive the same shedding valve the stall detector
-        uses: escalate on breach, relax once the monitor's hysteresis
-        declares the query healthy again.
+        ``progress`` remembers, per query, how much it had delivered and
+        the recovery-clock time of its last delivery. Breach edges drive
+        the same shedding ``valve`` the stall detector uses: escalate on
+        breach, relax once the monitor's hysteresis declares the query
+        healthy again.
         """
-        shedder = self.ingest_shedder
         for rid, reg in self._registrations.items():
-            delivered = sum(len(s.frames) + len(s.records) for s in reg.sessions)
             clock_lag = None
             if clock_now is not None:
-                if delivered > seen.get(rid, 0):
-                    last_clock[rid] = clock_now
-                seen[rid] = delivered
-                clock_lag = clock_now - last_clock.get(rid, clock_now)
+                delivered = reg.delivered
+                seen, since = progress.get(rid, (0, clock_now))
+                if delivered > seen:
+                    since = clock_now
+                progress[rid] = (delivered, since)
+                clock_lag = clock_now - since
             watermarks = [
                 s.watermark for s in reg.sessions if s.watermark > float("-inf")
             ]
@@ -751,13 +630,13 @@ class DSMSServer:
                 stream_t=self._now,
                 clock_lag_s=clock_lag,
             )
-            if shedder is None or not monitor.policy.escalate_shedding:
+            if valve is None or not monitor.policy.escalate_shedding:
                 continue
             now_breached = monitor.is_breached(rid)
-            if now_breached and not was_breached and hasattr(shedder, "escalate"):
-                shedder.escalate()
-            elif was_breached and not now_breached and hasattr(shedder, "relax"):
-                shedder.relax()
+            if now_breached and not was_breached:
+                valve.escalate()
+            elif was_breached and not now_breached:
+                valve.relax()
 
     # -- frame traces -----------------------------------------------------------
 
@@ -790,8 +669,7 @@ class DSMSServer:
                 "no frame tracer installed; recent_traces needs "
                 "obs.observe(frame_trace=True) or obs.installed(frame_tracer=...)"
             )
-        key = query.session_id if isinstance(query, ClientSession) else query
-        rid = self._session_to_reg.get(key, key)
+        rid = self._reg_id(query)
         if rid not in self._registrations:
             raise ServerError(f"unknown query/session id {query!r}")
         return ftracer.recorder.recent(rid)
@@ -1004,86 +882,103 @@ class DSMSServer:
             OperatorReport.from_operator(op) for op in self.plan_dag.operators()
         ]
 
-    def _chunk_bbox(self, chunk: Chunk) -> BoundingBox | None:
-        if isinstance(chunk, GridChunk):
-            return chunk.lattice.bbox
-        if chunk.n_points == 0:
-            return None
-        return BoundingBox.from_points(chunk.x, chunk.y, chunk.crs)
+    def _run_metrics(self, sources: "Mapping[str, object]") -> tuple:
+        """Publish the run-start gauges; return the per-chunk metric handles.
+
+        Handles are fetched once per run, so the per-chunk cost of disabled
+        observability is the single ``None`` check in :meth:`run`.
+        """
+        registry = get_registry()
+        registry.gauge("dsms_registered_networks").set(len(self._registrations))
+        registry.gauge("dsms_active_sessions").set(len(self.active_sessions()))
+        # Pre-register per-session instruments so sessions that never
+        # deliver still export zero-valued gauges/histograms (lag
+        # dashboards would otherwise show gaps for pruned queries).
+        for session in self.active_sessions():
+            session._obs_handles()
+        registry.gauge("repro_plan_stages_total").set(self.plan_dag.stages_total)
+        registry.gauge("repro_plan_stages_shared").set(self.plan_dag.stages_shared)
+        for sid, entries in self.router.table().items():
+            regions = sum(box is not None for box in entries.values())
+            if regions:
+                registry.gauge("dsms_router_regions", stream=sid).set(regions)
+        # Per stream, the routed / pruned counters of every query reading it.
+        per_query: dict[str, list[tuple]] = {sid: [] for sid in sources}
+        for rid, reg in self._registrations.items():
+            counters = (
+                rid,
+                registry.counter("dsms_query_chunks_routed_total", query=rid),
+                registry.counter("dsms_query_chunks_pruned_total", query=rid),
+            )
+            for sid in reg.sources:
+                per_query[sid].append(counters)
+        return (
+            registry.counter("dsms_chunks_scanned_total"),
+            registry.counter("dsms_pairs_routed_total"),
+            registry.counter("dsms_pairs_skipped_total"),
+            registry.gauge("dsms_stream_clock_seconds"),
+            per_query,
+        )
+
+    def _finish_run(
+        self, close: bool, ftracer: "FrameTracer | None", store: "MetricStore | None"
+    ) -> None:
+        """Flush and close (when asked to), then publish the run-end gauges."""
+        if close:
+            self.plan_dag.flush()
+            for session in self.active_sessions():
+                session.close()
+            if ftracer is not None:
+                # Capture pinned traces that never reached delivery
+                # (dropped / quarantined frames) as partial captures.
+                ftracer.flush_pinned()
+            if store is not None:
+                # One forced end-of-run tick so the rings include the
+                # final post-flush state of every instrument.
+                store.sample(self._now)
+        if metrics_enabled():
+            registry = get_registry()
+            stats = self.plan_dag.stats
+            registry.gauge("repro_plan_chunks_saved").set(stats.chunks_saved)
+            registry.gauge("repro_plan_subplan_cache_hits").set(stats.subplan_hits)
+            registry.gauge("repro_plan_stage_executions").set(stats.stage_executions)
 
     def run(self, max_chunks: int | None = None, close: bool = True) -> RouterStats:
         """Scan all needed sources once, driving every registered query.
 
-        Each chunk is offered only to the queries whose region rectangles
-        intersect it (the shared restriction stage); the returned stats
-        quantify the pruning.
+        Per chunk, in this order: (1) commit the re-plans whose sources sit
+        at a frame boundary; (2) admit the chunk — stall valve, trace
+        context, ingest shedder; (3) tick the stream clock, journal and
+        metric store, for shed chunks too; (4) if the chunk was kept, feed
+        it to the queries whose regions it intersects (:class:`Router`, the
+        shared restriction stage) and count; (5) update the SLO / adaptive
+        picture. Every instrument is opt-in and read once per run: absent,
+        it costs one ``None`` check per chunk. The returned stats quantify
+        the pruning.
         """
         needed = {
             sid for reg in self._registrations.values() for sid in reg.sources
         }
         sources = {sid: self.catalog.get(sid) for sid in sorted(needed)}
-        consumers: dict[str, list[_Registration]] = {
-            sid: [r for r in self._registrations.values() if sid in r.sources]
-            for sid in sources
-        }
-        reg_ids = {id(r): rid for rid, r in self._registrations.items()}
-        # Metric handles are fetched once per run; the per-chunk cost of
-        # disabled observability is the single None check below.
-        obs = None
-        if metrics_enabled():
-            registry = get_registry()
-            registry.gauge("dsms_registered_networks").set(len(self._registrations))
-            registry.gauge("dsms_active_sessions").set(len(self.active_sessions()))
-            # Pre-register per-session instruments so sessions that never
-            # deliver still export zero-valued gauges/histograms (lag
-            # dashboards would otherwise show gaps for pruned queries).
-            for session in self.active_sessions():
-                session._obs_handles()
-            registry.gauge("repro_plan_stages_total").set(self.plan_dag.stages_total)
-            registry.gauge("repro_plan_stages_shared").set(self.plan_dag.stages_shared)
-            for sid, router in self._routers.items():
-                registry.gauge("dsms_router_regions", stream=sid).set(len(router))
-            per_query = {
-                rid: (
-                    registry.counter("dsms_query_chunks_routed_total", query=rid),
-                    registry.counter("dsms_query_chunks_pruned_total", query=rid),
-                )
-                for rid in self._registrations
-            }
-            obs = (
-                registry.counter("dsms_chunks_scanned_total"),
-                registry.counter("dsms_pairs_routed_total"),
-                registry.counter("dsms_pairs_skipped_total"),
-                registry.gauge("dsms_stream_clock_seconds"),
-                per_query,
-            )
+        router, stats = self.router, self.router_stats
+        obs = self._run_metrics(sources) if metrics_enabled() else None
         ctx = self._recovery_ctx()
-        # Every instrument is opt-in and read from the one slot once per
-        # run; with nothing installed the per-chunk cost is a None check
-        # each (the store additionally rate-limits itself to its
-        # logical-clock cadence when present).
         instruments = current_instruments()
         collector = instruments.stats
         ftracer = instruments.frame_tracer
-        store = instruments.store
+        store = instruments.store  # rate-limits itself to its own cadence
         journal = instruments.journal
         monitor = self.slo_monitor
-        slo_seen: dict[int, int] = {}
-        slo_clock: dict[int, float] = {}
-        # Stall detection: the fault clock advances only when a source
-        # sleeps, so a large jump between consecutive chunks is a stalled
-        # downlink. Under sustained stall the ingest shedder escalates.
-        clock_last = ctx.clock.now() if ctx is not None else 0.0
-        if monitor is not None:
+        shedder = self.ingest_shedder
+        # Only a shedder with a pressure valve can be escalated / relaxed.
+        valve = shedder if hasattr(shedder, "escalate") else None
+        stall = _StallValve(ctx, valve) if ctx is not None else None
+        clock_now = stall.clock_last if stall is not None else None
+        slo_progress: dict[int, tuple[int, float]] = {}
+        if monitor is not None and clock_now is not None:
             for rid, reg in self._registrations.items():
-                slo_seen[rid] = sum(
-                    len(s.frames) + len(s.records) for s in reg.sessions
-                )
-                slo_clock[rid] = clock_last
-        healthy_streak = 0
-        escalated = False
+                slo_progress[rid] = (reg.delivered, clock_now)
         count = 0
-        clock_now = clock_last
         # Frame-boundary tracking for epoch cutover: a pending swap commits
         # only once every source the registration reads sits between
         # frames, so the old subplan drains whole frames before it is
@@ -1097,138 +992,69 @@ class DSMSServer:
                 # reflects the stream positions after the previous chunk.
                 self._commit_ready_swaps(at_boundary, ftracer, count)
             count += 1
-            if ctx is not None:
-                clock_now = ctx.clock.now()
-                if clock_now - clock_last >= ctx.stall_threshold_s:
-                    ctx.note_stall()
-                    healthy_streak = 0
-                    if self.ingest_shedder is not None and hasattr(
-                        self.ingest_shedder, "escalate"
-                    ):
-                        self.ingest_shedder.escalate()
-                        escalated = True
-                else:
-                    healthy_streak += 1
-                    if escalated and healthy_streak >= ctx.stall_relax_after:
-                        self.ingest_shedder.relax()
-                        escalated = False
-                clock_last = clock_now
+            if stall is not None:
+                clock_now = stall.tick()
             if ftracer is not None:
                 # Assign (or keep, for hardened catalogs that traced the
                 # raw source) the chunk's trace context at admission.
                 chunk = ftracer.admit(stream_id, chunk)
-            at_boundary[stream_id] = (
-                chunk.last_in_frame if isinstance(chunk, GridChunk) else True
-            )
-            if self.ingest_shedder is not None:
-                kept = list(self.ingest_shedder.process(chunk))
-                if not kept:
-                    self.router_stats.chunks_shed += 1
+            frame_end = chunk.last_in_frame if isinstance(chunk, GridChunk) else True
+            at_boundary[stream_id] = frame_end
+            kept = True
+            if shedder is not None:
+                survivors = list(shedder.process(chunk))
+                if survivors:
+                    (chunk,) = survivors
+                else:
+                    kept = False
+                    stats.chunks_shed += 1
                     if ftracer is not None and chunk.trace is not None:
-                        ftracer.annotate(
-                            chunk.trace, "shed:ingest-dropped", pin=True
-                        )
-                    # Shed chunks still advance the stream clock and the
-                    # SLO picture: under sustained full shedding the
-                    # watermark freezes while stream time advances — the
-                    # exact breach the adaptive re-planner must observe.
-                    self._now = chunk_time(chunk)
-                    if journal is not None:
-                        journal.set_time(self._now)
-                    if store is not None:
-                        store.maybe_sample(self._now)
-                    if monitor is not None:
-                        self._observe_slo(
-                            monitor,
-                            slo_seen,
-                            slo_clock,
-                            clock_now if ctx is not None else None,
-                        )
-                        self._observe_adaptive(monitor)
-                    continue
-                (chunk,) = kept
-            self.router_stats.chunks_scanned += 1
+                        ftracer.annotate(chunk.trace, "shed:ingest-dropped", pin=True)
+            # Shed chunks still advance the stream clock and the SLO
+            # picture: under sustained full shedding the watermark freezes
+            # while stream time advances — the exact breach the adaptive
+            # re-planner must observe.
             self._now = chunk_time(chunk)
             if journal is not None:
                 journal.set_time(self._now)
             if store is not None:
                 store.maybe_sample(self._now)
-            if collector is not None:
-                ordinal = collector.note_scan(
-                    stream_id,
-                    chunk.last_in_frame if isinstance(chunk, GridChunk) else True,
-                )
-                if collector.provenance:
-                    chunk = dc_replace(
-                        chunk, provenance=Provenance.scan(stream_id, ordinal)
-                    )
-            router = self._routers.get(stream_id)
-            always = self._always.get(stream_id, set())
-            matched: set[int] = set(always)
-            if router is not None:
-                bbox = self._chunk_bbox(chunk)
-                if bbox is not None:
+            if kept:
+                stats.chunks_scanned += 1
+                if collector is not None:
+                    ordinal = collector.note_scan(stream_id, frame_end)
+                    if collector.provenance:
+                        chunk = dc_replace(
+                            chunk, provenance=Provenance.scan(stream_id, ordinal)
+                        )
+                matched = router.match(stream_id, chunk)
+                routed = len(matched)
+                skipped = router.consumers(stream_id) - routed
+                if matched:
+                    # One pass through the shared DAG serves every matched
+                    # query; stages with several active subscribers run once.
                     try:
-                        matched.update(router.overlapping(bbox))
-                    except GeoStreamsError:
+                        self.plan_dag.feed(stream_id, chunk, active=matched)
+                    except GeoStreamsError as exc:
                         if ctx is None:
                             raise
-                        router = self._router_fallback(stream_id)
-                        matched.update(router.overlapping(bbox))
-            routed = skipped = 0
-            for registration in consumers[stream_id]:
-                rid = reg_ids[id(registration)]
-                if rid in matched:
-                    routed += 1
-                else:
-                    skipped += 1
+                        ctx.quarantine(
+                            chunk, reason="network-error",
+                            stage=f"network:{stream_id}", error=exc,
+                        )
+                stats.pairs_routed += routed
+                stats.pairs_skipped += skipped
                 if obs is not None:
-                    obs[4][rid][0 if rid in matched else 1].inc()
-            if routed:
-                # One pass through the shared DAG serves every matched
-                # query; stages with several active subscribers run once.
-                try:
-                    self.plan_dag.feed(stream_id, chunk, active=matched)
-                except GeoStreamsError as exc:
-                    if ctx is None:
-                        raise
-                    ctx.quarantine(
-                        chunk, reason="network-error",
-                        stage=f"network:{stream_id}", error=exc,
-                    )
+                    scanned_c, routed_c, skipped_c, clock_g, per_query = obs
+                    scanned_c.inc()
+                    routed_c.inc(routed)
+                    skipped_c.inc(skipped)
+                    clock_g.set(self._now)
+                    # Per chunk, not at flush: the metric store samples mid-run.
+                    for rid, routed_q, pruned_q in per_query[stream_id]:
+                        (routed_q if rid in matched else pruned_q).inc()
             if monitor is not None:
-                self._observe_slo(
-                    monitor,
-                    slo_seen,
-                    slo_clock,
-                    clock_now if ctx is not None else None,
-                )
+                self._observe_slo(monitor, valve, slo_progress, clock_now)
                 self._observe_adaptive(monitor)
-            self.router_stats.pairs_routed += routed
-            self.router_stats.pairs_skipped += skipped
-            if obs is not None:
-                scanned_c, routed_c, skipped_c, clock_g = obs[:4]
-                scanned_c.inc()
-                routed_c.inc(routed)
-                skipped_c.inc(skipped)
-                clock_g.set(self._now)
-        if close:
-            self.plan_dag.flush()
-            for registration in self._registrations.values():
-                for session in registration.sessions:
-                    session.close()
-            if ftracer is not None:
-                # Capture pinned traces that never reached delivery
-                # (dropped / quarantined frames) as partial captures.
-                ftracer.flush_pinned()
-            if store is not None:
-                # One forced end-of-run tick so the rings include the
-                # final post-flush state of every instrument.
-                store.sample(self._now)
-        if obs is not None:
-            registry = get_registry()
-            stats = self.plan_dag.stats
-            registry.gauge("repro_plan_chunks_saved").set(stats.chunks_saved)
-            registry.gauge("repro_plan_subplan_cache_hits").set(stats.subplan_hits)
-            registry.gauge("repro_plan_stage_executions").set(stats.stage_executions)
-        return self.router_stats
+        self._finish_run(close, ftracer, store)
+        return stats

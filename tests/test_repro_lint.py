@@ -43,12 +43,14 @@ def test_rl001_allows_timing_in_obs_and_server(tmp_path):
     for rel in (
         "src/repro/obs/probe.py",
         "src/repro/obs/trace.py",
-        "src/repro/server/dsms.py",
         "src/repro/engine/scheduler.py",
         "src/repro/cli.py",
         "src/repro/operators/delivery.py",
     ):
         assert lint_source(tmp_path, rel, src) == []
+    # The server is fast path: its run loop and router see every chunk.
+    for rel in ("src/repro/server/dsms.py", "src/repro/server/routing.py"):
+        assert codes(lint_source(tmp_path, rel, src)) == ["RL001"]
 
 
 def test_rl001_forbids_timing_in_both_executors(tmp_path):

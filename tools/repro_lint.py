@@ -10,11 +10,12 @@ Rules:
   observability acceptance bar is that disabled tracing costs nothing;
   ``time.perf_counter``/``time.monotonic``/``time.time`` may only be
   referenced from the modules that are *allowed* to time things (obs,
-  engine/scheduler, operators/delivery, faults, server, cli). The two
-  executors (``plan/stages.py``, ``engine/pipeline.py``) are not among
-  them: an operator step is timed by ``repro.obs.probe`` alone. A timing
-  call creeping into e.g. ``repro.core`` or an operator kernel silently
-  taxes every chunk.
+  engine/scheduler, operators/delivery, faults, cli). The two executors
+  (``plan/stages.py``, ``engine/pipeline.py``) and the server (its run
+  loop and router see every chunk and run on the stream clock) are not
+  among them: an operator step is timed by ``repro.obs.probe`` alone. A
+  timing call creeping into e.g. ``repro.core``, ``server/dsms.py`` or an
+  operator kernel silently taxes every chunk.
 * **RL002 — no cross-package underscore imports.** ``from ..pkg import
   _private`` couples packages to names that are free to change; private
   helpers may only be imported within their own package.
@@ -68,13 +69,12 @@ TIMING_TIME_ATTRS = TIMING_NAMES | {"time"}
 
 # Modules allowed to reference wall clocks: the observability layer (its
 # probe times every operator step for both executors), the source-merge
-# scheduler, fault recovery (op timeouts), the server, and the CLI.
-# Everything else under src/repro is fast path.
+# scheduler, fault recovery (op timeouts), and the CLI. Everything else
+# under src/repro — the server's run loop and router included — is fast path.
 TIMING_ALLOWED = (
     "src/repro/obs/",
     "src/repro/engine/scheduler.py",
     "src/repro/faults/",
-    "src/repro/server/",
     "src/repro/cli.py",
     "src/repro/operators/delivery.py",
 )
