@@ -2,100 +2,53 @@
 
 The algebra is closed and every operator's effect on the stream's
 *static type* — CRS, spatial extent, value domain, band arity, temporal
-window — is known without executing anything. :func:`analyze` propagates
-that type bottom-up through the AST (with source spans when the query
+window — is known without executing anything. :func:`analyze` reads
+that type from the one type table (:mod:`repro.query.types`), checks
+each node against its inputs' types (with source spans when the query
 came in as text), then cross-checks the canonical plan IR, and reports
 everything it can prove wrong as :class:`~repro.analysis.diagnostics.
 Diagnostic` values with stable codes.
 
-What is *provable* here is deliberately conservative: bounds are
-propagated as supersets (an unknown bound stays unknown), so an emitted
-error means the query genuinely cannot behave as written — never a
-false alarm from a loose approximation.
+What is *provable* here is deliberately conservative: the types are
+supersets (an unknown bound stays unknown), so an emitted error means
+the query genuinely cannot behave as written — never a false alarm from
+a loose approximation.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Collection, Mapping
 
-from ..core.timeset import TimeInterval, TimeSet
 from ..errors import GeoStreamsError
-from ..geo.crs import CRS
 from ..geo.region import BoundingBox, Region
 from ..plan import nodes as p
 from ..plan.canonical import canonicalize
 from ..plan.ops import VALUE_MAP_DEFAULTS
 from ..query import ast as q
 from ..query.calibration import CalibrationProfile
+from ..query.cost import estimate_query
 from ..query.parser import parse_query_spanned
+from ..query.types import (
+    STRETCH_KINDS,
+    StaticContext,
+    StreamType,
+    half_open_empty,
+    infer_types,
+    region_box,
+    windowed,
+)
 from .diagnostics import Diagnostic, DiagnosticReport, Severity, SourceSpan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.slo import SLOPolicy
-    from ..query.cost import StreamProfile
     from ..server.catalog import StreamCatalog
 
 __all__ = ["analyze", "StaticContext"]
 
-_STRETCH_KINDS = frozenset({"linear", "equalize", "gaussian"})
 _RESAMPLE_METHODS = frozenset({"nearest", "bilinear", "bicubic"})
 _AGG_FUNCS = frozenset({"mean", "min", "max", "sum", "count"})
 _AGG_MODES = frozenset({"sliding", "tumbling"})
 _GAMMAS = frozenset({"+", "-", "*", "/", "sup", "inf", "mosaic", "ndvi", "evi2"})
-# Contrast stretches normalize onto the 8-bit display range.
-_STRETCH_RANGE = (0.0, 255.0)
-
-
-@dataclass(frozen=True)
-class StaticContext:
-    """Catalog-derived facts the analyzer can lean on (all optional)."""
-
-    known_streams: frozenset[str] | None = None
-    crs_of: Mapping[str, CRS] | None = None
-    extents: Mapping[str, BoundingBox] | None = None
-    value_bounds: Mapping[str, tuple[float | None, float | None]] | None = None
-    channels: Mapping[str, int] | None = None
-    profiles: "Mapping[str, StreamProfile] | None" = None
-
-    @classmethod
-    def from_catalog(cls, catalog: "StreamCatalog") -> "StaticContext":
-        ids = list(catalog.ids())
-        extents: dict[str, BoundingBox] = {}
-        bounds: dict[str, tuple[float | None, float | None]] = {}
-        channels: dict[str, int] = {}
-        for sid in ids:
-            extent = catalog.extent(sid)
-            if extent is not None:
-                extents[sid] = extent
-            vset = catalog.get(sid).metadata.value_set
-            bounds[sid] = (vset.lo, vset.hi)
-            channels[sid] = vset.channels
-        return cls(
-            known_streams=frozenset(ids),
-            crs_of=dict(catalog.crs_of()),
-            extents=extents,
-            value_bounds=bounds,
-            channels=channels,
-            profiles=catalog.profiles(),
-        )
-
-
-@dataclass(frozen=True)
-class _Info:
-    """Propagated static type of a sub-expression (None = unknown)."""
-
-    crs: CRS | None = None
-    bbox: BoundingBox | None = None  # carries its own CRS
-    restricted: bool = False  # bbox tightened by a restriction already?
-    lo: float | None = None
-    hi: float | None = None
-    channels: int | None = None
-    t_lo: float = -math.inf  # accumulated measured-time window
-    t_hi: float = math.inf
-    s_lo: float = -math.inf  # accumulated scan-sector window
-    s_hi: float = math.inf
 
 
 class _Checker:
@@ -116,7 +69,6 @@ class _Checker:
         message: str,
         node: q.QueryNode,
         severity: Severity,
-        hint: str | None = None,
     ) -> None:
         span = self.spans.get(id(node))
         self.diagnostics.append(
@@ -126,152 +78,114 @@ class _Checker:
                 message=message,
                 span=SourceSpan(*span) if span is not None else None,
                 node=node.describe(),
-                hint=hint,
             )
         )
 
-    def error(self, code: str, message: str, node: q.QueryNode, hint: str | None = None) -> None:
-        self.emit(code, message, node, Severity.ERROR, hint)
+    def error(self, code: str, message: str, node: q.QueryNode) -> None:
+        self.emit(code, message, node, Severity.ERROR)
 
-    def warn(self, code: str, message: str, node: q.QueryNode, hint: str | None = None) -> None:
-        self.emit(code, message, node, Severity.WARNING, hint)
+    def warn(self, code: str, message: str, node: q.QueryNode) -> None:
+        self.emit(code, message, node, Severity.WARNING)
 
-    # -- the propagation walk -----------------------------------------------------
+    def unsatisfiable(self, code: str, why: str, node: q.QueryNode) -> None:
+        self.error(code, f"{why} — the query can never deliver a frame", node)
 
-    def visit(self, node: q.QueryNode) -> _Info:
-        method = getattr(self, f"_visit_{type(node).__name__.lower()}", None)
-        if method is not None:
-            return method(node)
-        # Unknown node kinds flow through their first child untouched.
-        children = node.children
-        return self.visit(children[0]) if children else _Info()
-
-    def _visit_streamref(self, node: q.StreamRef) -> _Info:
-        sid = node.stream_id
-        known = self.ctx.known_streams
-        if known is not None and sid not in known:
+    def require_known(
+        self, value: str, known: Collection[str], what: str, node: q.QueryNode
+    ) -> None:
+        """GS-VAL001 unless ``value`` is one of the ``known`` names of a ``what``."""
+        if value not in known:
             self.error(
-                "GS-REF001",
-                f"unknown stream {sid!r}; catalog has {sorted(known)}",
+                "GS-VAL001",
+                f"unknown {what} {value!r}; known {what.split()[-1]}s: "
+                f"{', '.join(sorted(known))}",
                 node,
             )
-            return _Info()
-        crs = (self.ctx.crs_of or {}).get(sid)
-        bbox = (self.ctx.extents or {}).get(sid)
-        lo, hi = (self.ctx.value_bounds or {}).get(sid, (None, None))
-        return _Info(
-            crs=crs,
-            bbox=bbox,
-            lo=lo,
-            hi=hi,
-            channels=(self.ctx.channels or {}).get(sid),
-        )
 
-    def _visit_empty(self, node: q.Empty) -> _Info:
+    # -- the checks: each node against its output type and its inputs' types -------
+
+    def check(self, tree: q.QueryNode) -> None:
+        types = infer_types(tree, self.ctx)
+        for node in q.post_order(tree):
+            method = getattr(self, f"_visit_{type(node).__name__.lower()}", None)
+            if method is not None:
+                inputs = [types[id(child)] for child in node.children]
+                method(node, types[id(node)], *inputs)
+
+    def _visit_streamref(self, node: q.StreamRef, out: StreamType) -> None:
+        known = self.ctx.known_streams
+        if known is not None and node.stream_id not in known:
+            self.error(
+                "GS-REF001",
+                f"unknown stream {node.stream_id!r}; catalog has {sorted(known)}",
+                node,
+            )
+
+    def _visit_empty(self, node: q.Empty, out: StreamType) -> None:
         self.error(
             "GS-SAT003",
             f"query contains a provably empty stream ({node.reason})",
             node,
         )
-        return _Info()
 
-    def _visit_spatialrestrict(self, node: q.SpatialRestrict) -> _Info:
-        info = self.visit(node.child)
-        region = node.region
-        region_bb = self._region_bbox(region, node)
-        if getattr(region, "is_empty_hint", False):
+    def _visit_spatialrestrict(
+        self, node: q.SpatialRestrict, out: StreamType, info: StreamType
+    ) -> None:
+        if getattr(node.region, "is_empty_hint", False):
             self.error(
                 "GS-SAT001",
                 "restriction region is an empty intersection of regions",
                 node,
             )
-            return replace(info, restricted=True)
-        target_crs = info.crs or (info.bbox.crs if info.bbox is not None else None)
-        if region_bb is not None and target_crs is not None and region_bb.crs != target_crs:
-            try:
-                region_bb = region_bb.transformed(target_crs)
-            except GeoStreamsError as exc:
-                self.error(
-                    "GS-CRS002",
-                    f"region (crs {region_bb.crs.name}) cannot be mapped into the "
-                    f"stream CRS {target_crs.name}: {exc}",
-                    node,
-                )
-                return replace(info, restricted=True)
+            return
+        reason = _unmappable(node.region, info)
+        if reason is not None:
+            self.error("GS-CRS002", f"region {reason}", node)
+            return
+        region_bb = region_box(node.region, info)
         if (
             region_bb is not None
             and info.bbox is not None
             and region_bb.crs == info.bbox.crs
+            and not region_bb.intersects(info.bbox)
         ):
-            if not region_bb.intersects(info.bbox):
-                if info.restricted:
-                    self.error(
-                        "GS-SAT001",
-                        "spatial restriction is disjoint from the extent left by "
-                        "earlier restrictions — the query can never deliver a frame",
-                        node,
-                    )
-                else:
-                    self.error(
-                        "GS-SAT002",
-                        f"region is disjoint from the source frame extent "
-                        f"{_fmt_bbox(info.bbox)} — the query can never deliver a frame",
-                        node,
-                    )
-                return replace(info, restricted=True)
-            region_bb = region_bb.intersection(info.bbox)
-        return replace(info, bbox=region_bb or info.bbox, restricted=True)
+            if info.restricted:
+                self.unsatisfiable(
+                    "GS-SAT001",
+                    "spatial restriction is disjoint from the extent left by "
+                    "earlier restrictions",
+                    node,
+                )
+            else:
+                self.unsatisfiable(
+                    "GS-SAT002",
+                    f"region is disjoint from the source frame extent {_fmt_bbox(info.bbox)}",
+                    node,
+                )
 
-    def _region_bbox(self, region: Region, node: q.QueryNode) -> BoundingBox | None:
-        try:
-            return region.bounding_box
-        except GeoStreamsError:
-            return None
-
-    def _visit_temporalrestrict(self, node: q.TemporalRestrict) -> _Info:
-        info = self.visit(node.child)
+    def _visit_temporalrestrict(
+        self, node: q.TemporalRestrict, out: StreamType, info: StreamType
+    ) -> None:
         timeset = node.timeset
-        if timeset.definitely_empty or _half_open_empty(timeset):
-            self.error(
-                "GS-SAT003",
-                "temporal restriction window is empty — the query can never "
-                "deliver a frame",
-                node,
-            )
-            return info
+        if timeset.definitely_empty or half_open_empty(timeset):
+            self.unsatisfiable("GS-SAT003", "temporal restriction window is empty", node)
+            return
         lo, hi = timeset.bounds()
         if node.on_sector:
             if hi < 0:
-                self.error(
+                self.unsatisfiable(
                     "GS-SAT004",
-                    f"scan-sector window [{lo:g}, {hi:g}] lies entirely before "
-                    "sector 0 — the query can never deliver a frame",
+                    f"scan-sector window [{lo:g}, {hi:g}] lies entirely before sector 0",
                     node,
                 )
-                return info
-            new_lo, new_hi = max(info.s_lo, lo), min(info.s_hi, hi)
-            if new_lo > new_hi:
-                self.error(
-                    "GS-SAT003",
-                    "stacked scan-sector windows are disjoint — the query can "
-                    "never deliver a frame",
-                    node,
-                )
-            return replace(info, s_lo=new_lo, s_hi=new_hi)
-        if isinstance(timeset, TimeInterval) or not _is_recurring(timeset):
-            new_lo, new_hi = max(info.t_lo, lo), min(info.t_hi, hi)
-            if new_lo > new_hi:
-                self.error(
-                    "GS-SAT003",
-                    "stacked time windows are disjoint — the query can never "
-                    "deliver a frame",
-                    node,
-                )
-            return replace(info, t_lo=new_lo, t_hi=new_hi)
-        return info
+            elif out.s_lo > out.s_hi:
+                self.unsatisfiable("GS-SAT003", "stacked scan-sector windows are disjoint", node)
+        elif windowed(timeset) and out.t_lo > out.t_hi:
+            self.unsatisfiable("GS-SAT003", "stacked time windows are disjoint", node)
 
-    def _visit_valuerestrict(self, node: q.ValueRestrict) -> _Info:
-        info = self.visit(node.child)
+    def _visit_valuerestrict(
+        self, node: q.ValueRestrict, out: StreamType, info: StreamType
+    ) -> None:
         lo, hi = node.lo, node.hi
         if lo is not None and hi is not None and lo > hi:
             self.error(
@@ -279,7 +193,7 @@ class _Checker:
                 f"value restriction [{lo:g}, {hi:g}] is empty (lo > hi)",
                 node,
             )
-            return info
+            return
         if info.lo is not None and hi is not None and hi < info.lo:
             self.error(
                 "GS-VAL003",
@@ -287,7 +201,7 @@ class _Checker:
                 f"value domain [{info.lo:g}, {_fmt(info.hi)}] — no value can match",
                 node,
             )
-            return info
+            return
         if info.hi is not None and lo is not None and lo > info.hi:
             self.error(
                 "GS-VAL003",
@@ -295,7 +209,7 @@ class _Checker:
                 f"value domain [{_fmt(info.lo)}, {info.hi:g}] — no value can match",
                 node,
             )
-            return info
+            return
         if (
             info.lo is not None
             and info.hi is not None
@@ -308,63 +222,24 @@ class _Checker:
                 f"[{info.lo:g}, {info.hi:g}] — it never filters anything",
                 node,
             )
-        new_lo = info.lo if lo is None else (lo if info.lo is None else max(lo, info.lo))
-        new_hi = info.hi if hi is None else (hi if info.hi is None else min(hi, info.hi))
-        return replace(info, lo=new_lo, hi=new_hi)
 
-    def _visit_valuemap(self, node: q.ValueMap) -> _Info:
-        info = self.visit(node.child)
-        if node.kind not in VALUE_MAP_DEFAULTS:
-            self.error(
-                "GS-VAL001",
-                f"unknown value-map kind {node.kind!r}; known kinds: "
-                f"{', '.join(sorted(VALUE_MAP_DEFAULTS))}",
-                node,
-            )
-            return replace(info, lo=None, hi=None)
-        lo, hi = _value_map_bounds(node, info.lo, info.hi)
-        return replace(info, lo=lo, hi=hi)
+    def _visit_valuemap(self, node: q.ValueMap, out: StreamType, info: StreamType) -> None:
+        self.require_known(node.kind, VALUE_MAP_DEFAULTS, "value-map kind", node)
 
-    def _visit_stretch(self, node: q.Stretch) -> _Info:
-        info = self.visit(node.child)
-        if node.kind not in _STRETCH_KINDS:
-            self.error(
-                "GS-VAL001",
-                f"unknown stretch kind {node.kind!r}; known kinds: "
-                f"{', '.join(sorted(_STRETCH_KINDS))}",
-                node,
-            )
-            return replace(info, lo=None, hi=None)
-        return replace(info, lo=_STRETCH_RANGE[0], hi=_STRETCH_RANGE[1])
+    def _visit_stretch(self, node: q.Stretch, out: StreamType, info: StreamType) -> None:
+        self.require_known(node.kind, STRETCH_KINDS, "stretch kind", node)
 
-    def _visit_magnify(self, node: q.Magnify) -> _Info:
-        info = self.visit(node.child)
+    def _visit_magnify(
+        self, node: q.Magnify | q.Coarsen, out: StreamType, info: StreamType
+    ) -> None:
         if node.k < 1:
-            self.error(
-                "GS-OP001", f"magnify factor must be >= 1, got {node.k}", node
-            )
-        return info
+            kind = type(node).__name__.lower()
+            self.error("GS-OP001", f"{kind} factor must be >= 1, got {node.k}", node)
 
-    def _visit_coarsen(self, node: q.Coarsen) -> _Info:
-        info = self.visit(node.child)
-        if node.k < 1:
-            self.error(
-                "GS-OP001", f"coarsen factor must be >= 1, got {node.k}", node
-            )
-        return info
+    _visit_coarsen = _visit_magnify
 
-    def _visit_rotate(self, node: q.Rotate) -> _Info:
-        return self.visit(node.child)
-
-    def _visit_reproject(self, node: q.Reproject) -> _Info:
-        info = self.visit(node.child)
-        if node.method not in _RESAMPLE_METHODS:
-            self.error(
-                "GS-VAL001",
-                f"unknown resampling method {node.method!r}; known methods: "
-                f"{', '.join(sorted(_RESAMPLE_METHODS))}",
-                node,
-            )
+    def _visit_reproject(self, node: q.Reproject, out: StreamType, info: StreamType) -> None:
+        self.require_known(node.method, _RESAMPLE_METHODS, "resampling method", node)
         if info.crs is not None and node.dst_crs == info.crs:
             self.warn(
                 "GS-CRS003",
@@ -372,24 +247,11 @@ class _Checker:
                 "already in that CRS",
                 node,
             )
-        bbox = info.bbox
-        if bbox is not None and bbox.crs != node.dst_crs:
-            try:
-                bbox = bbox.transformed(node.dst_crs)
-            except GeoStreamsError:
-                bbox = None
-        return replace(info, crs=node.dst_crs, bbox=bbox)
 
-    def _visit_compose(self, node: q.Compose) -> _Info:
-        left = self.visit(node.left)
-        right = self.visit(node.right)
-        if node.gamma not in _GAMMAS:
-            self.error(
-                "GS-VAL001",
-                f"unknown composition kernel {node.gamma!r}; known kernels: "
-                f"{', '.join(sorted(_GAMMAS))}",
-                node,
-            )
+    def _visit_compose(
+        self, node: q.Compose, out: StreamType, left: StreamType, right: StreamType
+    ) -> None:
+        self.require_known(node.gamma, _GAMMAS, "composition kernel", node)
         if left.crs is not None and right.crs is not None and left.crs != right.crs:
             self.error(
                 "GS-CRS001",
@@ -408,6 +270,13 @@ class _Checker:
                 f"right has {right.channels}",
                 node,
             )
+        if left.bbox is not None and right.bbox is not None and out.bbox is None:
+            self.unsatisfiable(
+                "GS-SAT001",
+                "composition operands have disjoint extents and frames are only "
+                "matched on identical windows",
+                node,
+            )
         if (
             node.gamma == "/"
             and right.lo is not None
@@ -420,75 +289,39 @@ class _Checker:
                 "zero; the quotient can be non-finite",
                 node,
             )
-        lo, hi = _compose_bounds(node.gamma, left, right)
-        bbox = left.bbox
-        if bbox is not None and right.bbox is not None and bbox.crs == right.bbox.crs:
-            bbox = bbox.union(right.bbox)
-        return _Info(
-            crs=left.crs or right.crs,
-            bbox=bbox,
-            restricted=left.restricted or right.restricted,
-            lo=lo,
-            hi=hi,
-            channels=left.channels or right.channels,
-            t_lo=min(left.t_lo, right.t_lo),
-            t_hi=max(left.t_hi, right.t_hi),
-            s_lo=min(left.s_lo, right.s_lo),
-            s_hi=max(left.s_hi, right.s_hi),
-        )
 
-    def _visit_temporalagg(self, node: q.TemporalAgg) -> _Info:
-        info = self.visit(node.child)
-        if node.func not in _AGG_FUNCS:
-            self.error(
-                "GS-VAL001",
-                f"unknown aggregate function {node.func!r}; known functions: "
-                f"{', '.join(sorted(_AGG_FUNCS))}",
-                node,
-            )
-        if node.mode not in _AGG_MODES:
-            self.error(
-                "GS-VAL001",
-                f"unknown aggregate mode {node.mode!r}; known modes: "
-                f"{', '.join(sorted(_AGG_MODES))}",
-                node,
-            )
+    def _visit_temporalagg(self, node: q.TemporalAgg, out: StreamType, info: StreamType) -> None:
+        self.require_known(node.func, _AGG_FUNCS, "aggregate function", node)
+        self.require_known(node.mode, _AGG_MODES, "aggregate mode", node)
         if node.window < 1:
             self.error(
                 "GS-OP001",
                 f"aggregate window must be >= 1 frame, got {node.window}",
                 node,
             )
-            return info
-        return replace(info, lo=_agg_lo(node, info), hi=_agg_hi(node, info))
 
-    def _visit_regionagg(self, node: q.RegionAgg) -> _Info:
-        info = self.visit(node.child)
-        if node.func not in _AGG_FUNCS:
-            self.error(
-                "GS-VAL001",
-                f"unknown aggregate function {node.func!r}; known functions: "
-                f"{', '.join(sorted(_AGG_FUNCS))}",
-                node,
-            )
-        target_crs = info.crs or (info.bbox.crs if info.bbox is not None else None)
+    def _visit_regionagg(self, node: q.RegionAgg, out: StreamType, info: StreamType) -> None:
+        self.require_known(node.func, _AGG_FUNCS, "aggregate function", node)
         for name, region in node.regions:
-            bb = self._region_bbox(region, node)
-            if bb is None or target_crs is None or bb.crs == target_crs:
-                continue
-            try:
-                bb.transformed(target_crs)
-            except GeoStreamsError as exc:
-                self.error(
-                    "GS-CRS002",
-                    f"aggregate region {name!r} (crs {bb.crs.name}) cannot be "
-                    f"mapped into the stream CRS {target_crs.name}: {exc}",
-                    node,
-                )
-        return replace(info, lo=None, hi=None)
+            reason = _unmappable(region, info)
+            if reason is not None:
+                self.error("GS-CRS002", f"aggregate region {name!r} {reason}", node)
 
 
-# -- bound arithmetic (None = unknown/unbounded, propagated conservatively) -------
+def _unmappable(region: Region, info: StreamType) -> str | None:
+    """Why ``region`` cannot be mapped into the stream's CRS (None: it can)."""
+    try:
+        region_box(region, info)
+    except GeoStreamsError as exc:
+        assert info.space is not None  # only a CRS change can fail
+        return (
+            f"(crs {region.crs.name}) cannot be mapped into the stream CRS "
+            f"{info.space.name}: {exc}"
+        )
+    return None
+
+
+# -- message formatting -----------------------------------------------------------
 
 
 def _fmt(value: float | None) -> str:
@@ -500,98 +333,6 @@ def _fmt_bbox(bbox: BoundingBox) -> str:
         f"[{bbox.xmin:g}, {bbox.ymin:g}, {bbox.xmax:g}, {bbox.ymax:g}] "
         f"({bbox.crs.name})"
     )
-
-
-def _half_open_empty(timeset: TimeSet) -> bool:
-    return (
-        isinstance(timeset, TimeInterval)
-        and timeset.start == timeset.end
-        and not (timeset.closed_start and timeset.closed_end)
-    )
-
-
-def _is_recurring(timeset: TimeSet) -> bool:
-    lo, hi = timeset.bounds()
-    return math.isinf(lo) and math.isinf(hi)
-
-
-def _value_map_bounds(
-    node: q.ValueMap, lo: float | None, hi: float | None
-) -> tuple[float | None, float | None]:
-    kind = node.kind
-    if kind == "reflectance":
-        return 0.0, 1.0
-    if kind == "rescale":
-        gain = float(node.param("gain", 1.0))
-        offset = float(node.param("offset", 0.0))
-        a = None if lo is None else lo * gain + offset
-        b = None if hi is None else hi * gain + offset
-        return (b, a) if gain < 0 else (a, b)
-    if kind == "negate":
-        return (None if hi is None else -hi), (None if lo is None else -lo)
-    if kind == "absolute":
-        if lo is None or hi is None:
-            return 0.0, None
-        return 0.0, max(abs(lo), abs(hi))
-    if kind == "gamma":
-        exponent = float(node.param("exponent", 1.0))
-        if lo is not None and hi is not None and lo >= 0.0 and exponent > 0:
-            return lo**exponent, hi**exponent
-        return None, None
-    return None, None
-
-
-def _compose_bounds(
-    gamma: str, left: _Info, right: _Info
-) -> tuple[float | None, float | None]:
-    if gamma == "ndvi":
-        return -1.0, 1.0
-    if gamma == "evi2":
-        return -2.5, 2.5
-    ll, lh, rl, rh = left.lo, left.hi, right.lo, right.hi
-    if gamma == "+":
-        lo = None if ll is None or rl is None else ll + rl
-        hi = None if lh is None or rh is None else lh + rh
-        return lo, hi
-    if gamma == "-":
-        lo = None if ll is None or rh is None else ll - rh
-        hi = None if lh is None or rl is None else lh - rl
-        return lo, hi
-    if gamma == "*":
-        if None in (ll, lh, rl, rh):
-            return None, None
-        assert ll is not None and lh is not None and rl is not None and rh is not None
-        prods = (ll * rl, ll * rh, lh * rl, lh * rh)
-        return min(prods), max(prods)
-    if gamma == "sup":
-        lo = max((v for v in (ll, rl) if v is not None), default=None)
-        hi = None if lh is None or rh is None else max(lh, rh)
-        return lo, hi
-    if gamma == "inf":
-        lo = None if ll is None or rl is None else min(ll, rl)
-        hi = min((v for v in (lh, rh) if v is not None), default=None)
-        return lo, hi
-    if gamma == "mosaic":
-        lo = None if ll is None or rl is None else min(ll, rl)
-        hi = None if lh is None or rh is None else max(lh, rh)
-        return lo, hi
-    return None, None  # "/" and unknown kernels: unbounded
-
-
-def _agg_lo(node: q.TemporalAgg, info: _Info) -> float | None:
-    if node.func == "count":
-        return 0.0
-    if node.func == "sum":
-        return None if info.lo is None else min(0.0, node.window * info.lo)
-    return info.lo
-
-
-def _agg_hi(node: q.TemporalAgg, info: _Info) -> float | None:
-    if node.func == "count":
-        return float(node.window)
-    if node.func == "sum":
-        return None if info.hi is None else max(0.0, node.window * info.hi)
-    return info.hi
 
 
 # -- canonical-plan cross-checks --------------------------------------------------
@@ -652,7 +393,7 @@ def _check_canonical(
                 node,
             )
         if isinstance(node, p.TemporalRestrict):
-            if node.timeset.definitely_empty or _half_open_empty(node.timeset):
+            if node.timeset.definitely_empty or half_open_empty(node.timeset):
                 emit(
                     "GS-SAT003",
                     "folded temporal restrictions are provably empty — the query "
@@ -701,8 +442,6 @@ def _check_slo(
         )
     if ctx.profiles is None:
         return diags
-    from ..query.cost import estimate_query
-
     profile = calibration if calibration is not None else CalibrationProfile.uncalibrated()
     try:
         estimate, _ = estimate_query(tree, ctx.profiles, calibration=profile)
@@ -772,7 +511,7 @@ def analyze(
         tree = query
 
     checker = _Checker(ctx, spans)
-    checker.visit(tree)
+    checker.check(tree)
     diagnostics = list(checker.diagnostics)
 
     already = {d.code for d in diagnostics}

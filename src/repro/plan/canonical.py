@@ -29,25 +29,12 @@ from ..geo.region import intersect_regions
 from ..query import ast as q
 from ..query.calibration import CalibrationProfile
 from ..query.cost import Estimate, NodeCost, StreamProfile
+from ..query.types import StaticContext, infer_types
 from . import nodes as p
 from .nodes import COMMUTATIVE_GAMMAS
 from .ops import VALUE_MAP_DEFAULTS
 
 __all__ = ["canonicalize", "estimate_plan"]
-
-
-def _plan_crs(plan: p.PlanNode, crs_of: Mapping[str, CRS]) -> CRS | None:
-    """Output CRS of a plan, when derivable from the source CRS map."""
-    if isinstance(plan, p.SourceScan):
-        return crs_of.get(plan.stream_id)
-    if isinstance(plan, p.Reproject):
-        return plan.dst_crs
-    if isinstance(plan, p.Compose):
-        return _plan_crs(plan.left, crs_of)
-    children = plan.children
-    if children:
-        return _plan_crs(children[0], crs_of)
-    return None
 
 
 def _leaf_policy(
@@ -77,7 +64,7 @@ def canonicalize(
     default_policy: str = "sector",
 ) -> p.PlanNode:
     """Lower a logical query tree to its canonical physical plan."""
-    crs_map = dict(crs_of or {})
+    types = infer_types(node, StaticContext(crs_of=crs_of))
     policy_map = dict(policy_of or {})
 
     def visit(n: q.QueryNode) -> p.PlanNode:
@@ -97,7 +84,7 @@ def canonicalize(
         if isinstance(n, q.SpatialRestrict):
             child = visit(n.child)
             region = n.region
-            child_crs = _plan_crs(child, crs_map)
+            child_crs = types[id(n.child)].crs
             if child_crs is not None and region.crs != child_crs:
                 # Safety net: the optimizer normally maps regions across
                 # CRSs; do it here too so unoptimized queries still run.

@@ -5,7 +5,7 @@ from .adaptive import AdaptiveDecision, AdaptivePolicy
 from .builder import Q, QueryBuilder
 from .calibration import CalibrationProfile, CalibrationSample
 from .cost import Estimate, NodeCost, StreamProfile, estimate_query
-from .optimizer import OptimizeResult, infer_crs, optimize
+from .optimizer import OptimizeResult, optimize
 from .parser import parse_query, resolve_crs
 from .planner import plan_query
 
@@ -17,7 +17,6 @@ __all__ = [
     "resolve_crs",
     "optimize",
     "OptimizeResult",
-    "infer_crs",
     "plan_query",
     "estimate_query",
     "StreamProfile",

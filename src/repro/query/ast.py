@@ -276,5 +276,12 @@ def walk(node: QueryNode) -> Iterator[QueryNode]:
         yield from walk(child)
 
 
+def post_order(node: QueryNode) -> Iterator[QueryNode]:
+    """Depth-first post-order traversal: every node after its children."""
+    for child in node.children:
+        yield from post_order(child)
+    yield node
+
+
 def count_nodes(node: QueryNode) -> int:
     return sum(1 for _ in walk(node))

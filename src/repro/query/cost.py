@@ -18,14 +18,15 @@ greatest benefit" falls out of the spatial-selectivity term.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ..core.stream import Organization, StreamMetadata
-from ..errors import PlanError, RegionError
+from ..errors import PlanError
 from ..geo.crs import CRS
 from ..geo.region import BoundingBox
 from . import ast as q
 from .calibration import CalibrationProfile
+from .types import StaticContext, StreamType, infer_types
 
 __all__ = ["StreamProfile", "Estimate", "NodeCost", "estimate_query", "REPROJECT_BAND_FRACTION"]
 
@@ -63,27 +64,15 @@ class StreamProfile:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Running estimate while folding over a query tree."""
+    """Per-frame totals of a query tree."""
 
-    points: float  # points per source frame flowing at this level
-    bbox: BoundingBox | None
-    crs: CRS
-    row_width: float
-    organization: Organization
+    points: float  # points per source frame flowing out of the root
     work: float
-    buffer: float  # total buffered points across operators so far
+    buffer: float  # total buffered points across operators
     max_op_buffer: float
     # Predicted wall seconds per frame; only set when a CalibrationProfile
-    # was supplied (work is otherwise a unitless point-touch count).
+    # was supplied (work is otherwise a unitless point touch count).
     seconds: float | None = None
-
-    def charged(self, work: float = 0.0, op_buffer: float = 0.0) -> "Estimate":
-        return replace(
-            self,
-            work=self.work + work,
-            buffer=self.buffer + op_buffer,
-            max_op_buffer=max(self.max_op_buffer, op_buffer),
-        )
 
 
 @dataclass(frozen=True)
@@ -97,23 +86,44 @@ class NodeCost:
     op_work: float
 
 
-def _spatial_selectivity(bbox: BoundingBox | None, region_bbox: BoundingBox, crs: CRS) -> tuple[float, float, BoundingBox | None]:
-    """(area fraction, width fraction, new bbox) of a restriction."""
-    if region_bbox.crs != crs:
-        try:
-            region_bbox = region_bbox.transformed(crs)
-        except RegionError:
-            return 0.0, 0.0, None
-    if bbox is None:
-        return 1.0, 1.0, region_bbox
-    inter = bbox.intersection(region_bbox)
-    if inter is None or bbox.area == 0:
-        return 0.0, 0.0, None
-    return (
-        inter.area / bbox.area,
-        (inter.width / bbox.width) if bbox.width else 1.0,
-        inter,
-    )
+def _compose_buffer(n: q.Compose, a: StreamType, b: StreamType, out: StreamType) -> float:
+    if a.organization is Organization.IMAGE_BY_IMAGE:
+        return min(_pts(a), _pts(b))  # a full image waits
+    return max(_width(a), _width(b))  # one row waits
+
+
+def _pts(t: StreamType) -> float:
+    assert t.points is not None
+    return t.points
+
+
+def _width(t: StreamType) -> float:
+    assert t.row_width is not None
+    return t.row_width
+
+
+# (op_work, op_buffer) per node kind, from its input types and output type.
+_Formula = Callable[..., tuple[float, float]]
+_LEAF: _Formula = lambda n, out: (0.0, 0.0)  # noqa: E731
+_SCAN: _Formula = lambda n, c, out: (_pts(c), 0.0)  # noqa: E731
+_FORMULAS: dict[type[q.QueryNode], _Formula] = {
+    q.StreamRef: _LEAF,
+    q.Empty: _LEAF,
+    q.SpatialRestrict: _SCAN,
+    q.TemporalRestrict: _SCAN,
+    q.ValueRestrict: _SCAN,
+    q.ValueMap: _SCAN,
+    q.RegionAgg: _SCAN,
+    q.Stretch: lambda n, c, out: (2.0 * _pts(c), _pts(c)),
+    q.Magnify: lambda n, c, out: (_pts(out), 0.0),
+    q.Coarsen: lambda n, c, out: (_pts(c), n.k * _width(c)),
+    # The output covers the rotated extent; points grow by <= 2x.
+    q.Rotate: lambda n, c, out: (2.0 * _pts(c), _pts(c)),
+    # Bilinear: four taps per output point.
+    q.Reproject: lambda n, c, out: (4.0 * _pts(c), REPROJECT_BAND_FRACTION * _pts(c)),
+    q.TemporalAgg: lambda n, c, out: (_pts(c) * n.window, float(n.window) * _pts(c)),
+    q.Compose: lambda n, a, b, out: (_pts(a) + _pts(b), _compose_buffer(n, a, b, out)),
+}
 
 
 def estimate_query(
@@ -127,147 +137,29 @@ def estimate_query(
     returned estimate also carries ``seconds`` — the work units priced by
     measured per-operator-kind coefficients.
     """
+    types = infer_types(node, StaticContext(profiles=profiles))
     breakdown: list[NodeCost] = []
 
     def visit(n: q.QueryNode) -> Estimate:
-        if isinstance(n, q.Empty):
-            from ..geo.crs import LATLON
-
-            est = Estimate(
-                points=0.0,
-                bbox=None,
-                crs=LATLON,
-                row_width=0.0,
-                organization=Organization.IMAGE_BY_IMAGE,
-                work=0.0,
-                buffer=0.0,
-                max_op_buffer=0.0,
-            )
-            breakdown.append(NodeCost(n, 0.0, 0.0, 0.0, 0.0))
-            return est
-        if isinstance(n, q.StreamRef):
-            try:
-                p = profiles[n.stream_id]
-            except KeyError:
-                raise PlanError(f"no profile for stream {n.stream_id!r}") from None
-            est = Estimate(
-                points=float(p.frame_points),
-                bbox=p.frame_bbox,
-                crs=p.crs,
-                row_width=float(p.row_width),
-                organization=p.organization,
-                work=0.0,
-                buffer=0.0,
-                max_op_buffer=0.0,
-            )
-            breakdown.append(NodeCost(n, 0.0, est.points, 0.0, 0.0))
-            return est
-
-        if isinstance(n, q.Compose):
-            left = visit(n.left)
-            right = visit(n.right)
-            points = min(left.points, right.points)
-            if left.organization is Organization.IMAGE_BY_IMAGE:
-                op_buffer = min(left.points, right.points)  # a full image waits
-            else:
-                op_buffer = max(left.row_width, right.row_width)  # one row waits
-            work = left.points + right.points
-            est = Estimate(
-                points=points,
-                bbox=left.bbox,
-                crs=left.crs,
-                row_width=min(left.row_width, right.row_width),
-                organization=left.organization,
-                work=left.work + right.work + work,
-                buffer=left.buffer + right.buffer + op_buffer,
-                max_op_buffer=max(left.max_op_buffer, right.max_op_buffer, op_buffer),
-            )
-            breakdown.append(NodeCost(n, work, points, op_buffer, work))
-            return est
-
-        child = visit(n.children[0]) if n.children else None
-        if child is None:
-            raise PlanError(f"unhandled leaf node {type(n).__name__}")
-
-        if isinstance(n, q.SpatialRestrict):
-            frac, wfrac, bbox = _spatial_selectivity(
-                child.bbox, n.region.bounding_box, child.crs
-            )
-            points = child.points * frac
-            est = replace(
-                child, points=points, bbox=bbox, row_width=child.row_width * wfrac
-            ).charged(work=child.points)
-            breakdown.append(NodeCost(n, child.points, points, 0.0, child.points))
-            return est
-
-        if isinstance(n, (q.TemporalRestrict, q.ValueRestrict, q.ValueMap)):
-            est = child.charged(work=child.points)
-            breakdown.append(NodeCost(n, child.points, child.points, 0.0, child.points))
-            return est
-
-        if isinstance(n, q.Stretch):
-            est = child.charged(work=2.0 * child.points, op_buffer=child.points)
-            breakdown.append(
-                NodeCost(n, child.points, child.points, child.points, 2.0 * child.points)
-            )
-            return est
-
-        if isinstance(n, q.Magnify):
-            k2 = float(n.k * n.k)
-            points = child.points * k2
-            est = replace(
-                child, points=points, row_width=child.row_width * n.k
-            ).charged(work=points)
-            breakdown.append(NodeCost(n, child.points, points, 0.0, points))
-            return est
-
-        if isinstance(n, q.Coarsen):
-            k2 = float(n.k * n.k)
-            points = child.points / k2
-            op_buffer = n.k * child.row_width
-            est = replace(
-                child, points=points, row_width=child.row_width / n.k
-            ).charged(work=child.points, op_buffer=op_buffer)
-            breakdown.append(NodeCost(n, child.points, points, op_buffer, child.points))
-            return est
-
-        if isinstance(n, q.Rotate):
-            # Output covers the rotated extent; points grow by <= 2x.
-            work = 2.0 * child.points
-            est = child.charged(work=work, op_buffer=child.points)
-            breakdown.append(NodeCost(n, child.points, child.points, child.points, work))
-            return est
-
-        if isinstance(n, q.Reproject):
-            op_buffer = REPROJECT_BAND_FRACTION * child.points
-            work = 4.0 * child.points  # bilinear: four taps per output point
-            bbox = None
-            if child.bbox is not None:
-                try:
-                    bbox = child.bbox.transformed(n.dst_crs)
-                except RegionError:
-                    bbox = None
-            est = replace(child, bbox=bbox, crs=n.dst_crs).charged(
-                work=work, op_buffer=op_buffer
-            )
-            breakdown.append(NodeCost(n, child.points, child.points, op_buffer, work))
-            return est
-
-        if isinstance(n, q.TemporalAgg):
-            op_buffer = float(n.window) * child.points
-            est = child.charged(work=child.points * n.window, op_buffer=op_buffer)
-            breakdown.append(
-                NodeCost(n, child.points, child.points, op_buffer, child.points * n.window)
-            )
-            return est
-
-        if isinstance(n, q.RegionAgg):
-            points = float(len(n.regions))
-            est = replace(child, points=points).charged(work=child.points)
-            breakdown.append(NodeCost(n, child.points, points, 0.0, child.points))
-            return est
-
-        raise PlanError(f"cost model does not know node type {type(n).__name__}")
+        below = [visit(child) for child in n.children]
+        out = types[id(n)]
+        if out.points is None:
+            if isinstance(n, q.StreamRef):
+                raise PlanError(f"no profile for stream {n.stream_id!r}")
+            raise PlanError(f"cost model cannot size the output of {n.describe()}")
+        formula = _FORMULAS.get(type(n))
+        if formula is None:
+            raise PlanError(f"cost model does not know node type {type(n).__name__}")
+        inputs = [types[id(child)] for child in n.children]
+        work, op_buffer = formula(n, *inputs, out)
+        points_in = sum((_pts(t) for t in inputs), 0.0)
+        breakdown.append(NodeCost(n, points_in, out.points, op_buffer, work))
+        return Estimate(
+            points=out.points,
+            work=sum(e.work for e in below) + work,
+            buffer=sum(e.buffer for e in below) + op_buffer,
+            max_op_buffer=max([op_buffer, *(e.max_op_buffer for e in below)]),
+        )
 
     total = visit(node)
     if calibration is not None:

@@ -29,7 +29,9 @@ Implemented rules (each records its name when applied):
   sub-pixels inside R), so gated behind ``allow_inexact`` like the
   stretch pushdown; the outer restriction is kept either way.
 * ``push-temporal-*`` — temporal restrictions commute with every unary
-  operator and distribute over composition.
+  operator and distribute over composition. Exact for sector-id
+  restrictions and through ValueMap/Magnify; a measured-time push through
+  a buffering operator or a composition is *inexact* at window edges.
 * ``temporal-first`` — evaluate the O(1)-per-chunk temporal test before
   per-point spatial tests.
 * ``drop-identity`` — remove Magnify/Coarsen k=1 and Rotate 0.
@@ -45,8 +47,9 @@ from ..errors import RegionError
 from ..geo.crs import CRS
 from ..geo.region import BoundingBox, intersect_regions
 from . import ast as q
+from .types import StaticContext, infer_types
 
-__all__ = ["optimize", "OptimizeResult", "infer_crs"]
+__all__ = ["optimize", "OptimizeResult"]
 
 
 @dataclass
@@ -61,30 +64,13 @@ class OptimizeResult:
         return f"applied: {rules}\n{self.node.pretty()}"
 
 
-def infer_crs(node: q.QueryNode, crs_of_stream: Mapping[str, CRS]) -> CRS | None:
-    """The CRS a node's output lives in, given source-stream CRSs.
-
-    Every operator preserves the coordinate system except re-projection.
-    Returns None when a referenced stream is unknown.
-    """
-    if isinstance(node, q.StreamRef):
-        return crs_of_stream.get(node.stream_id)
-    if isinstance(node, q.Reproject):
-        return node.dst_crs
-    if isinstance(node, q.Compose):
-        return infer_crs(node.left, crs_of_stream)
-    if node.children:
-        return infer_crs(node.children[0], crs_of_stream)
-    return None
-
-
 class _Rewriter:
     def __init__(
         self,
         crs_of_stream: Mapping[str, CRS],
         allow_inexact: bool,
     ) -> None:
-        self.crs_of_stream = crs_of_stream
+        self.facts = StaticContext(crs_of=crs_of_stream)
         self.allow_inexact = allow_inexact
         self.applied: list[str] = []
 
@@ -178,7 +164,7 @@ class _Rewriter:
             )
 
         if isinstance(child, q.Reproject):
-            src_crs = infer_crs(child.child, self.crs_of_stream)
+            src_crs = infer_types(child.child, self.facts)[id(child.child)].crs
             if src_crs is None:
                 return None
             try:
@@ -218,7 +204,10 @@ class _Rewriter:
             return child.with_children(
                 q.TemporalRestrict(child.child, node.timeset, node.on_sector)
             )
-        if isinstance(child, q.Compose):
+        # Composition pairs chunks by scan sector, not measured time, so a
+        # measured-time window pushed into each operand can drop a pair whose
+        # two halves fall on either side of the window edge.
+        if isinstance(child, q.Compose) and (node.on_sector or self.allow_inexact):
             self._note("push-temporal-compose")
             return q.Compose(
                 q.TemporalRestrict(child.left, node.timeset, node.on_sector),

@@ -8,7 +8,9 @@ on the happy path). See docs/static-analysis.md for the catalogue.
 
 import json
 
+import hypothesis as hyp
 import pytest
+from hypothesis import strategies as st
 
 from repro.analysis import StaticContext, analyze, check_dag, check_server
 from repro.analysis.diagnostics import CODES, Diagnostic, DiagnosticReport, Severity
@@ -18,6 +20,8 @@ from repro.obs.slo import SLOPolicy
 from repro.plan.stages import Edge
 from repro.query import ast as q
 from repro.server import DSMSServer
+
+from tests.strategies import region_strategy, tree_strategy
 
 CLEAN_QUERY = "stretch(reflectance(goes.vis), 'linear')"
 # The paper's Section 3.4 worked query (docs/query-language.md).
@@ -473,3 +477,99 @@ def test_report_exit_codes():
 def test_worked_example_analyzes_clean(catalog):
     report = analyze(WORKED_QUERY, catalog, slo=1e9)
     assert report.ok and len(report) == 0
+
+
+# -- soundness against execution: proven-empty => nothing delivered ---------------
+
+# goes.vis rotated 45° about the frame centre; the box sits just above the
+# unrotated frame but inside the rotated corners, so it does see points.
+ROTATED_ABOVE_QUERY = (
+    "within(rotate(goes.vis, 45), "
+    "bbox(1300000, 4450000, 1700000, 4550000, crs='geos:-135'))"
+)
+# The left 40 % of vis composed with the right 40 % of nir: composition
+# only pairs chunks with identical lattice windows, so nothing matches.
+DISJOINT_COMPOSE_QUERY = (
+    "within(goes.vis, bbox(349120, 3028213, 1262000, 4430450, crs='geos:-135')) + "
+    "within(goes.nir, bbox(1720000, 3028213, 2632276, 4430450, crs='geos:-135'))"
+)
+
+
+def delivered_points(tree, catalog):
+    from repro.query import plan_query
+
+    return sum(c.n_points for c in plan_query(tree, catalog.get).collect_chunks())
+
+
+def test_rotate_extent_is_not_the_child_extent(catalog):
+    from repro.query import parse_query
+
+    assert analyze(ROTATED_ABOVE_QUERY, catalog).ok
+    server = DSMSServer(catalog)
+    assert server.register_query(ROTATED_ABOVE_QUERY, encode_png=False) is not None
+    assert delivered_points(parse_query(ROTATED_ABOVE_QUERY), catalog) > 0
+
+
+def test_sat001_compose_of_disjoint_extents(catalog):
+    from repro.query import estimate_query, parse_query
+
+    report = analyze(DISJOINT_COMPOSE_QUERY, catalog)
+    assert codes_of(report) == {"GS-SAT001"}
+    (diag,) = report.diagnostics
+    assert diag.node == "Compose(+)"
+    tree = parse_query(DISJOINT_COMPOSE_QUERY)
+    assert delivered_points(tree, catalog) == 0
+    assert estimate_query(tree, catalog.profiles())[0].points == 0.0
+
+
+def _strategy_catalog():
+    from repro.server import StreamCatalog
+
+    from tests.strategies import BOX, SOURCES
+
+    cat = StreamCatalog()
+    for stream in SOURCES.values():
+        cat.register(stream, BOX)
+    return cat
+
+
+def _box_above_sector():
+    from repro.geo import BoundingBox
+
+    from tests.strategies import BOX
+
+    return BoundingBox(
+        BOX.xmin + 0.4 * BOX.width,
+        BOX.ymax + 0.02 * BOX.height,
+        BOX.xmin + 0.6 * BOX.width,
+        BOX.ymax + 0.1 * BOX.height,
+        BOX.crs,
+    )
+
+
+_UNSATISFIABLE = ("GS-SAT", "GS-VAL003")
+
+
+@hyp.seed(20261015)
+@hyp.settings(
+    max_examples=40,
+    deadline=None,
+    database=None,
+    suppress_health_check=[hyp.HealthCheck.too_slow],
+)
+@hyp.given(
+    tree=tree_strategy(),
+    angle=st.one_of(st.none(), st.sampled_from([30.0, 45.0, 90.0])),
+    region=st.one_of(st.none(), region_strategy()),
+)
+@hyp.example(tree=q.StreamRef("goes.vis"), angle=45.0, region=_box_above_sector())
+def test_proven_empty_delivers_nothing(tree, angle, region):
+    """Analyzer soundness: an unsatisfiability error means no point arrives."""
+    if angle is not None:
+        tree = q.Rotate(tree, angle)
+    if region is not None:
+        tree = q.SpatialRestrict(tree, region)
+    catalog = _strategy_catalog()
+    report = analyze(tree, catalog)
+    if any(d.code.startswith(_UNSATISFIABLE) for d in report.errors):
+        assert delivered_points(tree, catalog) == 0, report.render()

@@ -11,9 +11,9 @@ Hypothesis generates random query trees; we check the global invariants:
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.core import GridChunk
+from repro.core import GridChunk, TimeInterval
 from repro.query import ast as q, optimize, plan_query
 
 from tests.strategies import CRS_OF as _CRS_OF, SOURCES as _SOURCES, region_strategy, tree_strategy
@@ -45,6 +45,13 @@ def test_optimizer_idempotent(tree):
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(tree=tree_strategy())
+# A measured-time window whose edge splits a composed scan-sector pair.
+@example(
+    tree=q.TemporalRestrict(
+        q.Compose(q.StreamRef("goes.vis"), q.StreamRef("goes.nir"), "+"),
+        TimeInterval(72001.0, 75000.0),
+    )
+)
 def test_exact_rewrites_preserve_results(tree):
     """With inexact rules disabled, rewritten plans match bit-for-bit."""
     optimized = optimize(tree, _CRS_OF, allow_inexact=False).node

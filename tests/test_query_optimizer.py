@@ -6,7 +6,6 @@ import pytest
 from repro.core import TimeInterval
 from repro.geo import BoundingBox, utm
 from repro.query import ast as q, optimize, plan_query
-from repro.query.optimizer import infer_crs
 
 
 def subbox(imager, fx0, fy0, fx1, fy1):
@@ -147,15 +146,6 @@ class TestRules:
         result = optimize(tree, crs_of)
         assert result.node == tree
         assert result.applied == []
-
-    def test_infer_crs(self, crs_of):
-        assert infer_crs(q.StreamRef("goes.vis"), crs_of) == crs_of["goes.vis"]
-        assert infer_crs(q.Reproject(q.StreamRef("goes.vis"), utm(10)), crs_of) == utm(10)
-        assert (
-            infer_crs(q.Stretch(q.StreamRef("goes.vis"), "linear"), crs_of)
-            == crs_of["goes.vis"]
-        )
-        assert infer_crs(q.StreamRef("unknown"), crs_of) is None
 
     def test_explain_mentions_rules(self, small_imager, crs_of):
         region = subbox(small_imager, 0.2, 0.2, 0.8, 0.8)

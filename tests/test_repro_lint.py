@@ -9,7 +9,7 @@ assertion CI makes by running ``python -m tools.repro_lint``.
 
 import pathlib
 
-from tools.repro_lint import Violation, lint_file, lint_paths, main
+from tools.repro_lint import LINE_BUDGETS, Violation, lint_file, lint_paths, main
 
 REPO = pathlib.Path(__file__).parent.parent
 
@@ -298,6 +298,29 @@ def test_rl008_allows_them_outside_src_and_lookalikes_inside(tmp_path):
     # "tests" are not the rule's business.
     src = "import os\nfrom . import tests\nimport testsuite\nP = os.path.join('a', 'b')\n"
     assert lint_source(tmp_path, "src/repro/core/x.py", src) == []
+
+
+# -- RL009: line budgets ------------------------------------------------------------
+
+
+def _budget_of(prefix):
+    return next(budget for prefixes, budget in LINE_BUDGETS if prefixes[0] == prefix)
+
+
+def test_rl009_flags_a_file_over_its_budget(tmp_path):
+    lines = "x = 1\n" * (_budget_of("src/repro/cli.py") + 1)
+    lint_source(tmp_path, "src/repro/cli.py", lines)
+    (violation,) = lint_paths(["src"], root=tmp_path)
+    assert (violation.code, violation.path) == ("RL009", "src/repro/cli.py")
+
+
+def test_rl009_counts_a_group_together(tmp_path):
+    half = _budget_of("src/repro/analysis/checker.py") // 2 + 1
+    for rel in ("src/repro/analysis/checker.py", "src/repro/query/types.py"):
+        lint_source(tmp_path, rel, "x = 1\n" * half)
+    assert codes(lint_paths(["src"], root=tmp_path)) == ["RL009"]
+    lint_source(tmp_path, "src/repro/query/types.py", "x = 1\n")
+    assert lint_paths(["src"], root=tmp_path) == []
 
 
 # -- framework --------------------------------------------------------------------

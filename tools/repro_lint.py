@@ -52,6 +52,11 @@ Rules:
   production. So no module under ``src/`` may import ``tests``, and none
   may read the process environment (``os.environ`` / ``os.getenv``):
   behaviour is decided by arguments, not by a variable nobody measures.
+* **RL009 — line budgets only go down.** ``LINE_BUDGETS`` caps the line
+  count of ``src/`` as a whole and of the modules that have grown before
+  (the DSMS server, ``repro.obs``, the CLI, and the analyzer + cost model +
+  stream-type table). A change that shrinks a group lowers its budget to
+  the new count, so a later change cannot quietly spend the saving.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ import ast
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = ["Violation", "lint_file", "lint_paths", "main"]
 
@@ -527,6 +532,38 @@ def _check_no_mode_switch(rel: str, tree: ast.AST) -> Iterator[Violation]:
             yield Violation(rel, node.lineno, node.col_offset, "RL008", message)
 
 
+# -- RL009: line budgets -----------------------------------------------------------
+
+# (repo-relative path prefixes, most lines the files under them may hold together)
+LINE_BUDGETS: tuple[tuple[tuple[str, ...], int], ...] = (
+    (("src/",), 22_962),
+    (("src/repro/server/dsms.py",), 1_060),
+    (("src/repro/obs/",), 3_707),
+    (("src/repro/cli.py",), 1_067),
+    (
+        (
+            "src/repro/analysis/checker.py",
+            "src/repro/query/cost.py",
+            "src/repro/query/types.py",
+        ),
+        1_071,
+    ),
+)
+
+
+def _check_line_budgets(lines_of: Mapping[str, int]) -> Iterator[Violation]:
+    for prefixes, budget in LINE_BUDGETS:
+        total = sum(n for rel, n in lines_of.items() if rel.startswith(prefixes))
+        if total > budget:
+            yield Violation(
+                prefixes[0],
+                0,
+                0,
+                "RL009",
+                f"{' + '.join(prefixes)} holds {total} lines, over its budget of {budget}",
+            )
+
+
 _CHECKS = (
     _check_timing,
     _check_private_imports,
@@ -565,8 +602,11 @@ def _iter_files(paths: Sequence[str], root: Path) -> Iterable[Path]:
 def lint_paths(paths: Sequence[str], root: Path | None = None) -> list[Violation]:
     root = root if root is not None else Path.cwd()
     violations: list[Violation] = []
+    lines_of: dict[str, int] = {}
     for path in _iter_files(paths, root):
         violations.extend(lint_file(path, root))
+        lines_of[_rel(path, root)] = len(path.read_text(encoding="utf-8").splitlines())
+    violations.extend(_check_line_budgets(lines_of))
     return violations
 
 
