@@ -11,8 +11,8 @@ run reports the cross-run generalization error. Emits
 """
 
 from repro import obs
-from repro.plan import canonicalize, estimate_plan
-from repro.query import CalibrationProfile, optimize, parse_query
+from repro.plan import canonicalize
+from repro.query import CalibrationProfile, estimate_query, optimize, parse_query
 from repro.server import DSMSServer, StreamCatalog
 
 from conftest import BENCH_SMOKE, make_imager, write_bench_snapshot
@@ -93,7 +93,7 @@ def test_calibration_reduces_estimation_error(
         dict(reloaded.coefficients) == dict(fitted.coefficients),
     )
 
-    # estimate_plan accepts the fitted profile and prices whole plans in
+    # estimate_query accepts the fitted profile and prices canonical plans in
     # seconds (the optimizer-facing integration).
     catalog = StreamCatalog()
     catalog.register_imager(imager)
@@ -103,11 +103,11 @@ def test_calibration_reduces_estimation_error(
     for text in workload(imager):
         node = optimize(parse_query(text), crs_of).node
         plan = canonicalize(node, crs_of=crs_of)
-        est, _ = estimate_plan(plan, profiles, calibration=fitted)
+        est, _ = estimate_query(plan, profiles, calibration=fitted)
         plan_seconds[text] = est.seconds
     claims.record(
         "F5",
-        "estimate_plan prices calibrated plans in seconds",
+        "estimate_query prices calibrated plans in seconds",
         all(s is not None and s > 0 for s in plan_seconds.values()),
         "seconds set and positive for every query",
         all(s is not None and s > 0 for s in plan_seconds.values()),

@@ -94,7 +94,7 @@ from .operators import (
     reflectance,
     spatio_temporal_aggregate,
 )
-from .plan import PlanDAG, PlanNode, build_composition, build_value_map, canonicalize
+from .plan import PlanDAG, build_composition, build_value_map, canonicalize
 from .query import Q, optimize, parse_query, plan_query
 from .server import ClientSession, DSMSServer, SessionCheckpoint, StreamCatalog
 
@@ -163,7 +163,6 @@ __all__ = [
     "optimize",
     "plan_query",
     # plan IR
-    "PlanNode",
     "PlanDAG",
     "canonicalize",
     "build_value_map",

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Collection, Mapping
 
 from ..errors import GeoStreamsError
 from ..geo.region import BoundingBox, Region
-from ..plan import nodes as p
 from ..plan.canonical import canonicalize
 from ..plan.ops import VALUE_MAP_DEFAULTS
 from ..query import ast as q
@@ -353,7 +352,7 @@ def _check_canonical(
     """
     diags: list[Diagnostic] = []
 
-    def emit(code: str, message: str, node: p.PlanNode) -> None:
+    def emit(code: str, message: str, node: q.QueryNode) -> None:
         if code in already:
             return  # the AST walk already reported this condition with a span
         diags.append(
@@ -371,8 +370,8 @@ def _check_canonical(
         # CRS resolution failures surface through the AST walk (GS-CRS002).
         return diags
 
-    by_fingerprint: dict[str, p.PlanNode] = {}
-    for node in p.walk(plan):
+    by_fingerprint: dict[str, q.QueryNode] = {}
+    for node in q.walk(plan):
         fp = node.fingerprint
         other = by_fingerprint.get(fp)
         if other is not None and other != node:
@@ -383,7 +382,7 @@ def _check_canonical(
                 node,
             )
         by_fingerprint[fp] = node
-        if isinstance(node, p.SpatialRestrict) and getattr(
+        if isinstance(node, q.SpatialRestrict) and getattr(
             node.region, "is_empty_hint", False
         ):
             emit(
@@ -392,7 +391,7 @@ def _check_canonical(
                 "query can never deliver a frame",
                 node,
             )
-        if isinstance(node, p.TemporalRestrict):
+        if isinstance(node, q.TemporalRestrict):
             if node.timeset.definitely_empty or half_open_empty(node.timeset):
                 emit(
                     "GS-SAT003",
@@ -406,7 +405,7 @@ def _check_canonical(
                     "folded scan-sector window lies entirely before sector 0",
                     node,
                 )
-        if isinstance(node, p.ValueRestrict):
+        if isinstance(node, q.ValueRestrict):
             if node.lo is not None and node.hi is not None and node.lo > node.hi:
                 emit(
                     "GS-VAL002",

@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.chunk import Chunk
     from ..core.provenance import Provenance
     from ..operators.base import BinaryOperator, Operator
-    from ..plan.nodes import PlanNode
+    from ..query.ast import QueryNode
     from .registry import Histogram
     from .stats import StageStats, StatsCollector
     from .timeline import EventJournal, MetricStore
@@ -125,7 +125,7 @@ class StageProbe:
         "_always", "_entry", "_hist",
     )
 
-    def __init__(self, op: Operator | BinaryOperator, node: PlanNode | None = None) -> None:
+    def __init__(self, op: Operator | BinaryOperator, node: QueryNode | None = None) -> None:
         fingerprint = node.fingerprint if node is not None else op.plan_fingerprint
         self.op = op
         self.key = fingerprint or f"pull:{op.name}"

@@ -1,60 +1,27 @@
-"""Physical-plan IR shared by the pull and push execution paths.
+"""Physical plans shared by the pull and push execution paths.
 
 Layering: the query layer parses and optimizes *logical* trees
-(``repro.query.ast``); this package lowers them to canonical physical
-plans (:func:`canonicalize`), which either execution path then turns into
-running machinery — pull via :func:`plan_to_stream` (chained lazy
-generators) or push via :class:`PlanDAG` (a shared operator DAG the DSMS
-feeds chunk-by-chunk, with subplan-level sharing across queries).
+(``repro.query.ast``); :func:`canonicalize` rewrites one into canonical
+form — the same AST, with restrictions folded, commutative operands
+ordered, regions resolved and composition policies recorded — and that
+tree is the physical plan. Either execution path then turns it into
+running machinery through the one operator table (:func:`make_operator`):
+pull via :func:`plan_to_stream` (chained lazy generators) or push via
+:class:`PlanDAG` (a shared operator DAG the DSMS feeds chunk-by-chunk,
+with subplan-level sharing across queries keyed by node fingerprint).
 """
 
-from .canonical import canonicalize, estimate_plan
+from .canonical import COMMUTATIVE_GAMMAS, canonicalize, source_ids
 from .lower import empty_stream, plan_to_stream
-from .nodes import (
-    COMMUTATIVE_GAMMAS,
-    Coarsen,
-    Compose,
-    EmptyPlan,
-    Magnify,
-    PlanNode,
-    RegionAgg,
-    Reproject,
-    Rotate,
-    SourceScan,
-    SpatialRestrict,
-    Stretch,
-    TemporalAgg,
-    TemporalRestrict,
-    ValueMap,
-    ValueRestrict,
-    source_ids,
-    walk,
-)
 from .epoch import EpochSwapResult, EpochTransition, PlanEpoch
-from .ops import VALUE_MAP_DEFAULTS, build_composition, build_value_map
+from .ops import VALUE_MAP_DEFAULTS, build_composition, build_value_map, make_operator
 from .stages import PlanDAG, PlanStats, Stage
 
 __all__ = [
-    "PlanNode",
-    "SourceScan",
-    "EmptyPlan",
-    "SpatialRestrict",
-    "TemporalRestrict",
-    "ValueRestrict",
-    "ValueMap",
-    "Stretch",
-    "Magnify",
-    "Coarsen",
-    "Rotate",
-    "Reproject",
-    "Compose",
-    "TemporalAgg",
-    "RegionAgg",
-    "walk",
     "source_ids",
     "COMMUTATIVE_GAMMAS",
     "canonicalize",
-    "estimate_plan",
+    "make_operator",
     "plan_to_stream",
     "empty_stream",
     "build_value_map",

@@ -1,8 +1,8 @@
-"""Logical AST → canonical physical plan.
+"""Logical AST → the same AST in canonical form, which is the physical plan.
 
 Canonicalization makes structurally different but equivalent query trees
-produce *equal* plan nodes (hence equal fingerprints), which is what
-subplan sharing keys on:
+produce *equal* nodes (hence equal fingerprints), which is what subplan
+sharing keys on:
 
 * commutative compositions (γ in ``+ * sup inf``) order their children
   deterministically by fingerprint;
@@ -23,22 +23,26 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..core.timeset import intersect_timesets
-from ..errors import PlanError
 from ..geo.crs import CRS
 from ..geo.region import intersect_regions
 from ..query import ast as q
-from ..query.calibration import CalibrationProfile
-from ..query.cost import Estimate, NodeCost, StreamProfile
 from ..query.types import StaticContext, infer_types
-from . import nodes as p
-from .nodes import COMMUTATIVE_GAMMAS
 from .ops import VALUE_MAP_DEFAULTS
 
-__all__ = ["canonicalize", "estimate_plan"]
+__all__ = ["canonicalize", "source_ids", "COMMUTATIVE_GAMMAS"]
+
+# Compositions that commute pointwise; canonicalization may reorder their
+# children. 'mosaic' is excluded: first-wins semantics are order-sensitive.
+COMMUTATIVE_GAMMAS = frozenset({"+", "*", "sup", "inf"})
+
+
+def source_ids(node: q.QueryNode) -> set[str]:
+    """The source streams a plan scans."""
+    return {n.stream_id for n in q.walk(node) if isinstance(n, q.StreamRef)}
 
 
 def _leaf_policy(
-    plan: p.PlanNode, policy_of: Mapping[str, str], default_policy: str
+    plan: q.QueryNode, policy_of: Mapping[str, str], default_policy: str
 ) -> str:
     """Timestamp policy of the leftmost source below ``plan``.
 
@@ -48,7 +52,7 @@ def _leaf_policy(
     """
     cur = plan
     while True:
-        if isinstance(cur, p.SourceScan):
+        if isinstance(cur, q.StreamRef):
             return policy_of.get(cur.stream_id, default_policy)
         children = cur.children
         if not children:
@@ -62,16 +66,12 @@ def canonicalize(
     crs_of: Mapping[str, CRS] | None = None,
     policy_of: Mapping[str, str] | None = None,
     default_policy: str = "sector",
-) -> p.PlanNode:
-    """Lower a logical query tree to its canonical physical plan."""
+) -> q.QueryNode:
+    """Rewrite a logical query tree into its canonical physical plan."""
     types = infer_types(node, StaticContext(crs_of=crs_of))
     policy_map = dict(policy_of or {})
 
-    def visit(n: q.QueryNode) -> p.PlanNode:
-        if isinstance(n, q.StreamRef):
-            return p.SourceScan(n.stream_id)
-        if isinstance(n, q.Empty):
-            return p.EmptyPlan(n.reason)
+    def visit(n: q.QueryNode) -> q.QueryNode:
         if isinstance(n, q.Compose):
             left = visit(n.left)
             right = visit(n.right)
@@ -80,7 +80,7 @@ def canonicalize(
             policy = _leaf_policy(left, policy_map, default_policy)
             if n.gamma in COMMUTATIVE_GAMMAS and right.fingerprint < left.fingerprint:
                 left, right = right, left
-            return p.Compose(left, right, n.gamma, policy)
+            return q.Compose(left, right, n.gamma, policy)
         if isinstance(n, q.SpatialRestrict):
             child = visit(n.child)
             region = n.region
@@ -89,32 +89,32 @@ def canonicalize(
                 # Safety net: the optimizer normally maps regions across
                 # CRSs; do it here too so unoptimized queries still run.
                 region = region.transformed(child_crs)
-            if isinstance(child, p.SpatialRestrict) and child.region.crs == region.crs:
+            if isinstance(child, q.SpatialRestrict) and child.region.crs == region.crs:
                 inner = child
                 if region is inner.region or region == inner.region:
                     return inner  # identical restriction twice
                 region = intersect_regions(region, inner.region)
                 child = inner.child
-            return p.SpatialRestrict(child, region)
+            return q.SpatialRestrict(child, region)
         if isinstance(n, q.TemporalRestrict):
             child = visit(n.child)
             timeset = n.timeset
-            if isinstance(child, p.TemporalRestrict) and child.on_sector == n.on_sector:
+            if isinstance(child, q.TemporalRestrict) and child.on_sector == n.on_sector:
                 inner = child
                 if timeset == inner.timeset:
                     return inner
                 timeset = intersect_timesets(timeset, inner.timeset)
                 child = inner.child
-            return p.TemporalRestrict(child, timeset, n.on_sector)
+            return q.TemporalRestrict(child, timeset, n.on_sector)
         if isinstance(n, q.ValueRestrict):
             child = visit(n.child)
             lo, hi = n.lo, n.hi
-            if isinstance(child, p.ValueRestrict):
+            if isinstance(child, q.ValueRestrict):
                 inner = child
                 lo = inner.lo if lo is None else (lo if inner.lo is None else max(lo, inner.lo))
                 hi = inner.hi if hi is None else (hi if inner.hi is None else min(hi, inner.hi))
                 child = inner.child
-            return p.ValueRestrict(child, lo, hi)
+            return q.ValueRestrict(child, lo, hi)
         if isinstance(n, q.ValueMap):
             child = visit(n.child)
             defaults = VALUE_MAP_DEFAULTS.get(n.kind)
@@ -124,38 +124,10 @@ def canonicalize(
                 params = tuple(
                     (name, float(n.param(name, default))) for name, default in defaults
                 )
-            return p.ValueMap(child, n.kind, params)
-        if isinstance(n, q.Stretch):
-            return p.Stretch(visit(n.child), n.kind)
-        if isinstance(n, q.Magnify):
-            return p.Magnify(visit(n.child), n.k)
-        if isinstance(n, q.Coarsen):
-            return p.Coarsen(visit(n.child), n.k)
-        if isinstance(n, q.Rotate):
-            return p.Rotate(visit(n.child), n.angle_deg)
-        if isinstance(n, q.Reproject):
-            return p.Reproject(visit(n.child), n.dst_crs, n.method)
-        if isinstance(n, q.TemporalAgg):
-            return p.TemporalAgg(visit(n.child), n.func, n.window, n.mode)
+            return q.ValueMap(child, n.kind, params)
         if isinstance(n, q.RegionAgg):
-            return p.RegionAgg(visit(n.child), tuple(n.regions), n.func)
-        raise PlanError(f"canonicalizer does not know node type {type(n).__name__}")
+            return q.RegionAgg(visit(n.child), tuple(n.regions), n.func)
+        # Leaves stay as they are; every other kind only canonicalizes below.
+        return n.with_children(*map(visit, n.children))
 
     return visit(node)
-
-
-def estimate_plan(
-    plan: p.PlanNode,
-    profiles: Mapping[str, StreamProfile],
-    calibration: CalibrationProfile | None = None,
-) -> tuple[Estimate, list[NodeCost]]:
-    """Cost-estimate a canonical plan (delegates to the logical model).
-
-    Estimates are defined over canonicalized plans so that two queries
-    that will share execution also share one cost figure. A fitted
-    :class:`~repro.query.calibration.CalibrationProfile` prices the plan
-    in measured wall seconds (``Estimate.seconds``).
-    """
-    from ..query.cost import estimate_query
-
-    return estimate_query(plan.to_ast(), profiles, calibration=calibration)

@@ -27,7 +27,8 @@ from ..core.chunk import Chunk
 from ..errors import PlanError
 from ..obs.registry import get_registry, metrics_enabled
 from ..obs.timeline import current_journal
-from .nodes import Compose, EmptyPlan, PlanNode, SourceScan
+from ..query import ast as q
+from .ops import make_operator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .stages import PlanDAG, Stage
@@ -43,7 +44,7 @@ class PlanEpoch:
 
     root_id: int
     epoch: int
-    plan: PlanNode | None
+    plan: q.QueryNode | None
     fingerprints: frozenset[str]
     reason: str
 
@@ -83,13 +84,13 @@ class EpochTransition:
         self.old_epoch = dag.epoch_of.get(root_id, 0)
         self.new_epoch = self.old_epoch + 1
         self._committed = False
-        self._plan: PlanNode | None = None
+        self._plan: q.QueryNode | None = None
         self._stages: list["Stage"] = []
         self._closing = False
 
     # -- verbs --------------------------------------------------------------------
 
-    def install(self, plan: PlanNode, sink: _Sink) -> list["Stage"]:
+    def install(self, plan: q.QueryNode, sink: _Sink) -> list["Stage"]:
         """Wire a query's first epoch into the DAG, reusing shared subplans."""
         self._check_open(build=True)
         stages: list["Stage"] = []
@@ -102,7 +103,7 @@ class EpochTransition:
         return stages
 
     def swap(
-        self, new_plan: PlanNode, sink: _Sink, old_stages: Iterable["Stage"]
+        self, new_plan: q.QueryNode, sink: _Sink, old_stages: Iterable["Stage"]
     ) -> EpochSwapResult:
         """Replace a live query's plan, grafting every unchanged stage.
 
@@ -208,21 +209,21 @@ class EpochTransition:
             # into a drained network is not.
             raise PlanError("push network already flushed")
 
-    def _wire_terminal(self, top: "Stage | None", plan: PlanNode, sink: _Sink) -> None:
+    def _wire_terminal(self, top: "Stage | None", plan: q.QueryNode, sink: _Sink) -> None:
         from .stages import Edge
 
         terminal = Edge(sink=sink, roots={self.root_id})
         if top is None:  # bare source scan (or provably empty query)
-            if isinstance(plan, SourceScan):
+            if isinstance(plan, q.StreamRef):
                 self.dag.taps.setdefault(plan.stream_id, []).append(terminal)
         else:
             top.outputs.append(terminal)
 
-    def _build(self, node: PlanNode, stages: list["Stage"]) -> "Stage | None":
+    def _build(self, node: q.QueryNode, stages: list["Stage"]) -> "Stage | None":
         from .stages import Edge, Stage
 
         dag = self.dag
-        if isinstance(node, (SourceScan, EmptyPlan)):
+        if isinstance(node, (q.StreamRef, q.Empty)):
             return None
         if dag.share:
             existing = dag._by_fingerprint.get(node.fingerprint)
@@ -237,24 +238,27 @@ class EpochTransition:
                         if child_stage not in stages:
                             stages.append(child_stage)
                 return existing
-        if isinstance(node, Compose):
-            pairs: tuple[tuple[str | None, PlanNode], ...] = (
+        # Built before the inputs, so a node that cannot run (say, a
+        # composition no canonicalizer resolved) fails before wiring them.
+        op = make_operator(node)
+        if isinstance(node, q.Compose):
+            pairs: tuple[tuple[str | None, q.QueryNode], ...] = (
                 ("left", node.left),
                 ("right", node.right),
             )
         else:
             pairs = tuple((None, child) for child in node.children)
         built = [(side, child, self._build(child, stages)) for side, child in pairs]
-        stage = Stage(node, node.make_operator(), dag)
+        stage = Stage(node, op, dag)
         if dag.share:
             dag._by_fingerprint[node.fingerprint] = stage
         dag.order.append(stage)
         stages.append(stage)
         for side, child, child_stage in built:
-            if isinstance(child, EmptyPlan):
+            if isinstance(child, q.Empty):
                 continue
             edge = Edge(stage=stage, side=side)
-            if isinstance(child, SourceScan):
+            if isinstance(child, q.StreamRef):
                 dag.taps.setdefault(child.stream_id, []).append(edge)
             else:
                 child_stage.outputs.append(edge)

@@ -2,7 +2,7 @@
 
 The pull executor re-opens sources per query, so no stages are shared;
 what it shares with the push executor is the *plan* and the single
-operator-construction table on the plan nodes.
+operator-construction table (:func:`~repro.plan.ops.make_operator`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from typing import Callable, TypeVar
 from ..core.stream import GeoStream
 from ..engine.pipeline import compose_streams
 from ..operators.base import BinaryOperator, Operator
-from . import nodes as p
+from ..query import ast as q
+from .ops import make_operator
 
 __all__ = ["plan_to_stream", "empty_stream"]
 
@@ -36,7 +37,7 @@ def empty_stream(reason: str = "") -> GeoStream:
     return GeoStream(metadata, lambda: iter(()))
 
 
-def _stamp(op: _OpT, plan: p.PlanNode) -> _OpT:
+def _stamp(op: _OpT, plan: q.QueryNode) -> _OpT:
     """Tag a fresh operator with its plan node's identity.
 
     The pull executor has no shared stages, but stamping the subplan
@@ -49,21 +50,21 @@ def _stamp(op: _OpT, plan: p.PlanNode) -> _OpT:
     return op
 
 
-def plan_to_stream(plan: p.PlanNode, resolve: Callable[[str], GeoStream]) -> GeoStream:
+def plan_to_stream(plan: q.QueryNode, resolve: Callable[[str], GeoStream]) -> GeoStream:
     """Build the executable GeoStream for a canonical plan.
 
     Fresh operator instances are created per call so that concurrently
     planned queries never share mutable state.
     """
-    if isinstance(plan, p.SourceScan):
+    if isinstance(plan, q.StreamRef):
         return resolve(plan.stream_id)
-    if isinstance(plan, p.EmptyPlan):
+    if isinstance(plan, q.Empty):
         return empty_stream(plan.reason)
-    if isinstance(plan, p.Compose):
+    if isinstance(plan, q.Compose):
         left = plan_to_stream(plan.left, resolve)
         right = plan_to_stream(plan.right, resolve)
-        return compose_streams(left, right, _stamp(plan.make_operator(), plan))
+        return compose_streams(left, right, _stamp(make_operator(plan), plan))
     child = plan_to_stream(plan.children[0], resolve)
-    op = _stamp(plan.make_operator(), plan)
+    op = _stamp(make_operator(plan), plan)
     assert isinstance(op, Operator), f"unary plan node built a binary operator: {plan.describe()}"
     return child.pipe(op)

@@ -1,27 +1,37 @@
-"""Operator factories shared by every lowering of the plan IR.
+"""The one operator table: canonical plan node → fresh physical operator.
 
-These used to live as private helpers inside ``query/planner.py`` with
-the push compiler reaching across the package boundary for them; they are
-now the one public construction point for parameterized operators.
+Both lowerings (pull :func:`~repro.plan.lower.plan_to_stream` and the
+push :class:`~repro.plan.stages.PlanDAG`) build every operator through
+:func:`make_operator`, so no node kind is constructed in two places.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
 from ..core.valueset import NDVI_VALUES, ValueSet
 from ..errors import PlanError
-from ..operators.base import Operator
+from ..operators.aggregate import RegionAggregate, TemporalAggregate
+from ..operators.base import BinaryOperator, Operator
 from ..operators.composition import StreamComposition, normalized_difference
+from ..operators.reprojection import Reproject
+from ..operators.restriction import (
+    SpatialRestriction,
+    TemporalRestriction,
+    ValueRestriction,
+)
+from ..operators.spatial_transform import Coarsen, Magnify, Rotate
 from ..operators.value_transform import (
     CountsToReflectance,
+    FrameStretch,
     PointwiseTransform,
     Rescale,
 )
+from ..query import ast as q
 
-__all__ = ["build_value_map", "build_composition", "VALUE_MAP_DEFAULTS"]
+__all__ = ["make_operator", "build_value_map", "build_composition", "VALUE_MAP_DEFAULTS"]
 
 # Canonical parameter lists (name, default) per value-map kind. The
 # canonicalizer materializes every parameter in this order so that
@@ -86,3 +96,36 @@ def build_composition(gamma: str, timestamp_policy: str = "sector") -> StreamCom
             output_value_set=ValueSet("evi2", np.float32, lo=-2.5, hi=2.5),
         )
     return StreamComposition(gamma, timestamp_policy=timestamp_policy)
+
+
+def _composition(n: q.Compose) -> StreamComposition:
+    if n.timestamp_policy is None:
+        raise PlanError(
+            f"{n.describe()} has an unresolved timestamp policy; lower the "
+            "tree with canonicalize() before building operators"
+        )
+    return build_composition(n.gamma, n.timestamp_policy)
+
+
+_OPERATORS: dict[type[q.QueryNode], Callable[[Any], Operator | BinaryOperator]] = {
+    q.SpatialRestrict: lambda n: SpatialRestriction(n.region),
+    q.TemporalRestrict: lambda n: TemporalRestriction(n.timeset, on_sector=n.on_sector),
+    q.ValueRestrict: lambda n: ValueRestriction(lo=n.lo, hi=n.hi),
+    q.ValueMap: lambda n: build_value_map(n.kind, n.params),
+    q.Stretch: lambda n: FrameStretch(n.kind),
+    q.Magnify: lambda n: Magnify(n.k),
+    q.Coarsen: lambda n: Coarsen(n.k),
+    q.Rotate: lambda n: Rotate(n.angle_deg),
+    q.Reproject: lambda n: Reproject(n.dst_crs, method=n.method),
+    q.Compose: _composition,
+    q.TemporalAgg: lambda n: TemporalAggregate(n.window, n.func, n.mode),
+    q.RegionAgg: lambda n: RegionAggregate(dict(n.regions), n.func),
+}
+
+
+def make_operator(node: q.QueryNode) -> Operator | BinaryOperator:
+    """Fresh physical operator for one canonical plan node (leaves have none)."""
+    build = _OPERATORS.get(type(node))
+    if build is None:
+        raise PlanError(f"{type(node).__name__} has no physical operator")
+    return build(node)

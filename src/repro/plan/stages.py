@@ -24,7 +24,7 @@ from ..errors import PlanError
 from ..faults.recovery import current_recovery
 from ..obs.probe import Instruments, StageProbe, current
 from ..operators.base import BinaryOperator, Operator
-from .nodes import PlanNode
+from ..query import ast as q
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (circular with .epoch)
     from .epoch import EpochSwapResult, PlanEpoch
@@ -81,7 +81,7 @@ class Stage:
 
     __slots__ = ("node", "op", "outputs", "subscribers", "epochs", "_dag", "_probe")
 
-    def __init__(self, node: PlanNode, op: Operator | BinaryOperator, dag: "PlanDAG") -> None:
+    def __init__(self, node: q.QueryNode, op: Operator | BinaryOperator, dag: "PlanDAG") -> None:
         self.node = node
         self.op = op
         self.outputs: list[Edge] = []
@@ -177,7 +177,7 @@ class PlanDAG:
     # EpochTransition (repro.plan.epoch), the single place allowed to
     # touch the stage tables (lint rule RL006).
 
-    def add_plan(self, plan: PlanNode, sink: _Sink, root_id: int) -> list[Stage]:
+    def add_plan(self, plan: q.QueryNode, sink: _Sink, root_id: int) -> list[Stage]:
         """Wire one query plan into the DAG, reusing shared subplans.
 
         Returns the stages the plan uses (for refcounted removal). The
@@ -191,7 +191,7 @@ class PlanDAG:
         return stages
 
     def swap_plan(
-        self, root_id: int, new_plan: PlanNode, sink: _Sink,
+        self, root_id: int, new_plan: q.QueryNode, sink: _Sink,
         old_stages: Iterable[Stage], reason: str = "replan",
     ) -> "EpochSwapResult":
         """Move a live query to its next plan epoch (hot swap).

@@ -4,21 +4,26 @@ Every node denotes a GeoStream; operators take GeoStream-denoting children
 and denote GeoStreams again, so arbitrary nesting is well-formed — the
 closure property "allows the formulation of complex queries ... and also
 provides a basis for query optimization techniques, such as query
-rewriting" (Section 3). The optimizer rewrites these trees; the planner
-lowers them onto physical operator pipelines.
+rewriting" (Section 3). The optimizer rewrites these trees, and
+:func:`repro.plan.canonicalize` returns the same kind of tree in canonical
+form, which *is* the physical plan both executors lower.
 
 Nodes are immutable; rewriting produces new trees via ``with_children``.
+Each node exposes a cached structural ``fingerprint`` so that equal
+canonical subplans hash equal; that is what lets the DSMS share stages
+between different registered queries.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Tuple
 
 from ..core.timeset import TimeSet
 from ..errors import QueryError
-from ..geo.crs import CRS
-from ..geo.region import Region
+from ..geo.crs import CRS, spec_of
+from ..geo.region import BoundingBox, Region
 
 __all__ = [
     "QueryNode",
@@ -40,10 +45,68 @@ __all__ = [
     "count_nodes",
 ]
 
+# The payload tags of the two leaves are the names they carried when the
+# physical plan was a separate node hierarchy. Keeping them keeps every
+# fingerprint, and with it the canonical operand order of commutative
+# compositions, stable.
+_FINGERPRINT_TAGS = {"StreamRef": "SourceScan", "Empty": "EmptyPlan"}
+
+
+def _token(value: object) -> str:
+    """Stable structural token for one node field value.
+
+    Region objects other than bounding boxes compare by identity, so they
+    are fingerprinted by identity too: two plans share a stage for them
+    only when they hold the *same* region object. That forgoes some
+    sharing but can never merge plans that are not equal.
+    """
+    if isinstance(value, QueryNode):
+        return value.fingerprint
+    if value is None or isinstance(value, (str, int, bool)):
+        return repr(value)
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return "(" + ",".join(_token(v) for v in value) + ")"
+    if isinstance(value, CRS):
+        # spec_of gives a content token for the standard projections; a
+        # bespoke CRS falls back to identity (sound, just never shared).
+        try:
+            return f"crs:{spec_of(value)}"
+        except Exception:
+            return f"crs:{type(value).__name__}@{id(value):x}"
+    if isinstance(value, BoundingBox):
+        return (
+            f"bbox({value.xmin!r},{value.ymin!r},{value.xmax!r},"
+            f"{value.ymax!r},{_token(value.crs)})"
+        )
+    if isinstance(value, Region):
+        return f"region:{type(value).__name__}@{id(value):x}"
+    if isinstance(value, TimeSet):
+        text = repr(value)
+        if " at 0x" in text:  # default object repr: not content-stable
+            return f"time:{type(value).__name__}@{id(value):x}"
+        return f"time:{text}"
+    return f"{type(value).__name__}@{id(value):x}"
+
 
 @dataclass(frozen=True)
 class QueryNode:
     """Base class for all query expression nodes."""
+
+    @property
+    def fingerprint(self) -> str:
+        """Structural hash: equal (canonical) subplans get equal digests."""
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            tag = type(self).__name__
+            payload = ";".join(
+                [_FINGERPRINT_TAGS.get(tag, tag)]
+                + [f"{f.name}={_token(getattr(self, f.name))}" for f in fields(self)]
+            )
+            cached = hashlib.blake2b(payload.encode(), digest_size=10).hexdigest()
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
     @property
     def children(self) -> Tuple["QueryNode", ...]:
@@ -71,12 +134,14 @@ class QueryNode:
         """One-line operator description (overridden by subclasses)."""
         return type(self).__name__
 
-    def pretty(self, indent: int = 0) -> str:
+    def pretty(self, indent: int = 0, *, fingerprints: bool = False) -> str:
         """Indented tree rendering, used by EXPLAIN output."""
-        pad = "  " * indent
-        lines = [f"{pad}{self.describe()}"]
+        line = f"{'  ' * indent}{self.describe()}"
+        if fingerprints:
+            line += f"  #{self.fingerprint}"
+        lines = [line]
         for child in self.children:
-            lines.append(child.pretty(indent + 1))
+            lines.append(child.pretty(indent + 1, fingerprints=fingerprints))
         return "\n".join(lines)
 
 
@@ -233,14 +298,21 @@ class Compose(QueryNode):
 
     ``gamma`` is one of '+', '-', '*', '/', 'sup', 'inf', or the macro
     kernels 'ndvi' / 'evi2' which expand to their band-math definitions.
+    ``timestamp_policy`` (how chunk timestamps are matched across sides)
+    is resolved from source metadata by the canonicalizer only; it is part
+    of the fingerprint, so two compositions share a stage only when they
+    also agree on it.
     """
 
     left: QueryNode
     right: QueryNode
     gamma: str = "+"
+    timestamp_policy: str | None = None
 
     def describe(self) -> str:
-        return f"Compose({self.gamma})"
+        if self.timestamp_policy is None:
+            return f"Compose({self.gamma})"
+        return f"Compose({self.gamma}, match={self.timestamp_policy})"
 
 
 @dataclass(frozen=True)

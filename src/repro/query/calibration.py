@@ -4,8 +4,8 @@ The static cost model (:mod:`repro.query.cost`) predicts ``work`` in
 *point touches* — a unit, not a wall time. A :class:`CalibrationProfile`
 closes the loop: from accumulated :class:`~repro.obs.stats.StageStats`
 it fits one *seconds per point-touch* coefficient per operator kind
-(plan-node class name), so ``estimate_query``/``estimate_plan`` can
-price rewritings in measured seconds instead of seed guesses.
+(query-node class name), so ``estimate_query`` can price rewritings and
+canonical plans in measured seconds instead of seed guesses.
 
 The fit is a per-kind ratio estimator — ``Σ observed wall seconds /
 Σ estimated work units`` over every stage of that kind — which is the
@@ -41,14 +41,10 @@ __all__ = [
 # calibration closes.
 DEFAULT_SECONDS_PER_UNIT = 1e-6
 
-# AST node kinds and their plan-IR spellings share one ledger.
-_KIND_ALIASES = {"StreamRef": "SourceScan", "Empty": "EmptyPlan"}
-
 
 def kind_of(node: object) -> str:
-    """Calibration kind of an AST or plan node: its class name, unified."""
-    name = type(node).__name__
-    return _KIND_ALIASES.get(name, name)
+    """Calibration kind of a query node: its class name."""
+    return type(node).__name__
 
 
 @dataclass(frozen=True)

@@ -34,15 +34,14 @@ from ..operators.delivery import DeliveredFrame
 from ..plan import (
     EpochSwapResult,
     PlanDAG,
-    PlanNode,
     Stage,
     canonicalize,
-    estimate_plan,
     source_ids as plan_source_ids,
 )
 from ..query import ast as q
 from ..query.adaptive import AdaptivePolicy
 from ..query.calibration import CalibrationSample, kind_of
+from ..query.cost import estimate_query
 from ..query.optimizer import optimize
 from ..query.parser import parse_query
 from .catalog import StreamCatalog
@@ -86,7 +85,7 @@ class _Fanout:
 @dataclass
 class _Registration:
     fanout: _Fanout
-    plan: PlanNode
+    plan: q.QueryNode
     stages: list[Stage]
     boxes: dict[str, BoundingBox | None]
     sources: set[str]
@@ -110,7 +109,7 @@ class _PendingSwap:
     """A requested re-plan waiting for its registration's frame boundary."""
 
     reg_id: int
-    plan: PlanNode
+    plan: q.QueryNode
     optimized: q.QueryNode
     reason: str
     shed_pressure: float | None
@@ -352,7 +351,7 @@ class DSMSServer:
 
         return check_server(self)
 
-    def _find_shared(self, plan: PlanNode) -> tuple[int, _Registration] | None:
+    def _find_shared(self, plan: q.QueryNode) -> tuple[int, _Registration] | None:
         for reg_id, registration in self._registrations.items():
             if (
                 registration.plan.fingerprint == plan.fingerprint
@@ -681,17 +680,17 @@ class DSMSServer:
     ) -> dict[str, float | None]:
         """Per-frame estimated work of each stage's *own* operator.
 
-        ``estimate_plan`` prices whole subplans; subtracting the direct
+        ``estimate_query`` prices whole subplans; subtracting the direct
         children's totals isolates the stage itself, matching how
         observed statistics are kept (one ledger per physical stage).
         """
         totals: dict[str, float | None] = {}
 
-        def total(node: PlanNode) -> float | None:
+        def total(node: q.QueryNode) -> float | None:
             fp = node.fingerprint
             if fp not in totals:
                 try:
-                    est, _ = estimate_plan(node, profiles)
+                    est, _ = estimate_query(node, profiles)
                     totals[fp] = est.work
                 except GeoStreamsError:
                     totals[fp] = None
@@ -711,7 +710,7 @@ class DSMSServer:
                 own[node.fingerprint] = max(0.0, whole - sum(children))
         return own
 
-    def _stage_frames(self, node: PlanNode, collector: StatsCollector) -> int:
+    def _stage_frames(self, node: q.QueryNode, collector: StatsCollector) -> int:
         """Frames of input this stage's subplan saw during the run."""
         frames = [
             collector.frames_scanned.get(sid, 0) for sid in plan_source_ids(node)

@@ -22,8 +22,14 @@ from repro.obs.registry import ObservabilityError
 from repro.obs.slo import SLOMonitor, SLOPolicy
 from repro.obs.stats import Reservoir, format_lineage, lineage
 from repro.operators import AdaptiveLoadShedder
-from repro.plan import canonicalize, estimate_plan
-from repro.query import CalibrationProfile, CalibrationSample, optimize, parse_query
+from repro.plan import canonicalize
+from repro.query import (
+    CalibrationProfile,
+    CalibrationSample,
+    estimate_query,
+    optimize,
+    parse_query,
+)
 from repro.query.planner import plan_query
 from repro.server import DSMSServer, StreamCatalog
 
@@ -33,6 +39,14 @@ from tests.reference import reference_kernels
 Q_VRANGE = "vrange(reflectance(goes.vis), 0.0, 0.4)"
 Q_STRETCH = "stretch(reflectance(goes.vis), 'linear')"
 Q_NDVI = "stretch(ndvi(reflectance(goes.nir),reflectance(goes.vis)),'linear')"
+
+EXPLAIN_DAG_SHARED = """\
+shared plan DAG: 3 stages (1 shared), sources: goes.vis
+  epochs: q1@e1, q2@e1
+  source goes.vis -> s0
+  s0: ValueMap(reflectance, bits=10)  #dc86b50749ee6b3170b2  subscribers=[1@e1,2@e1] -> s1, s2
+  s1: ValueRestrict([0.0, 0.4])  #0aab02fcf0b0623c7fca  subscribers=[1@e1] -> sink[q1]
+  s2: Stretch(linear)  #e6798fb6b93aee32aa00  subscribers=[2@e1] -> sink[q2]"""
 
 
 @pytest.fixture(autouse=True)
@@ -149,6 +163,12 @@ class TestStageStatsViaDAG:
         assert fps[0] != fps[1]  # but each keeps a private suffix
         assert server.plan_dag.stages_shared > 0
 
+    def test_explain_dag_is_pinned(self, catalog):
+        # Stage labels and fingerprints are the sharing contract; this text
+        # was recorded before plans became canonical query ASTs.
+        server, _, _ = run_shared(catalog)
+        assert server.explain_dag() == EXPLAIN_DAG_SHARED
+
     def test_format_lineage_resolves_fingerprints(self, catalog):
         server, sessions, _ = run_shared(catalog)
         text = format_lineage(sessions[0].frames[-1], dag=server.plan_dag)
@@ -245,9 +265,9 @@ class TestCalibration:
         node = optimize(parse_query(Q_STRETCH), crs_of).node
         plan = canonicalize(node, crs_of=crs_of)
         profiles = catalog.profiles()
-        bare, _ = estimate_plan(plan, profiles)
+        bare, _ = estimate_query(plan, profiles)
         assert bare.seconds is None
-        est, _ = estimate_plan(
+        est, _ = estimate_query(
             plan, profiles, calibration=CalibrationProfile.uncalibrated()
         )
         assert est.seconds is not None and est.seconds > 0

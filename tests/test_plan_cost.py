@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import Organization, TimeInterval
 from repro.geo import BoundingBox, goes_geostationary
-from repro.plan import canonicalize, estimate_plan
+from repro.plan import canonicalize
 from repro.query import ast as q
-from repro.query.cost import StreamProfile
+from repro.query.cost import StreamProfile, estimate_query
 
 GEOS = goes_geostationary(-135.0)
 FRAME_BBOX = BoundingBox(800_000.0, 3_300_000.0, 2_000_000.0, 4_100_000.0, GEOS)
@@ -38,7 +38,7 @@ PROFILES = {
 
 def _estimate(tree: q.QueryNode):
     plan = canonicalize(tree, crs_of={sid: p.crs for sid, p in PROFILES.items()})
-    est, _ = estimate_plan(plan, PROFILES)
+    est, _ = estimate_query(plan, PROFILES)
     return est
 
 
@@ -63,7 +63,7 @@ class TestCanonicalPlanCosts:
         )
         merged = canonicalize(stacked)
         est_stacked = _estimate(stacked)
-        est_merged, _ = estimate_plan(merged, PROFILES)
+        est_merged, _ = estimate_query(merged, PROFILES)
         assert est_stacked.points == est_merged.points
 
     def test_commutative_orderings_share_one_estimate(self):

@@ -11,15 +11,13 @@ from repro.errors import PlanError
 from repro.geo import latlon
 from repro.plan import (
     PlanDAG,
-    SourceScan,
     build_composition,
     build_value_map,
     canonicalize,
-    estimate_plan,
-    nodes as p,
+    make_operator,
     plan_to_stream,
 )
-from repro.query import ast as q, plan_query
+from repro.query import ast as q, parse_query, plan_query
 
 from .conftest import sector_subbox
 
@@ -44,7 +42,7 @@ class TestCanonicalization:
     def test_mosaic_not_reordered(self):
         # First-wins semantics: mosaic is order-sensitive.
         ab = canonicalize(q.Compose(_scan("a"), _scan("b"), "mosaic"))
-        assert isinstance(ab.left, SourceScan) and ab.left.stream_id == "a"
+        assert isinstance(ab.left, q.StreamRef) and ab.left.stream_id == "a"
 
     def test_value_map_defaults_normalized(self):
         bare = canonicalize(q.ValueMap(_scan(), "reflectance"))
@@ -55,17 +53,17 @@ class TestCanonicalization:
     def test_adjacent_value_restricts_fold(self):
         tree = q.ValueRestrict(q.ValueRestrict(_scan(), 0.0, 0.8), 0.2, None)
         plan = canonicalize(tree)
-        assert isinstance(plan, p.ValueRestrict)
+        assert isinstance(plan, q.ValueRestrict)
         assert plan.lo == 0.2 and plan.hi == 0.8
-        assert isinstance(plan.child, SourceScan)
+        assert isinstance(plan.child, q.StreamRef)
 
     def test_adjacent_temporal_restricts_fold(self):
         outer = TimeInterval(0.0, 100.0)
         inner = TimeInterval(50.0, 200.0)
         tree = q.TemporalRestrict(q.TemporalRestrict(_scan(), inner), outer)
         plan = canonicalize(tree)
-        assert isinstance(plan, p.TemporalRestrict)
-        assert isinstance(plan.child, SourceScan)
+        assert isinstance(plan, q.TemporalRestrict)
+        assert isinstance(plan.child, q.StreamRef)
         lo, hi = plan.timeset.bounds()
         assert (lo, hi) == (50.0, 100.0)
 
@@ -74,8 +72,8 @@ class TestCanonicalization:
         small = sector_subbox(small_imager, 0.2, 0.2, 0.6, 0.6)
         tree = q.SpatialRestrict(q.SpatialRestrict(_scan(), big), small)
         plan = canonicalize(tree)
-        assert isinstance(plan, p.SpatialRestrict)
-        assert isinstance(plan.child, SourceScan)
+        assert isinstance(plan, q.SpatialRestrict)
+        assert isinstance(plan.child, q.StreamRef)
 
     def test_duplicate_spatial_restriction_dedupes(self, small_imager):
         box = sector_subbox(small_imager, 0.1, 0.1, 0.5, 0.5)
@@ -108,24 +106,6 @@ class TestCanonicalization:
         measured = canonicalize(tree, default_policy="measured")
         assert sector.fingerprint != measured.fingerprint
 
-    def test_to_ast_round_trip(self, small_imager):
-        box = sector_subbox(small_imager, 0.1, 0.1, 0.9, 0.9)
-        tree = q.Stretch(
-            q.ValueMap(q.SpatialRestrict(_scan(), box), "reflectance", (("bits", 10.0),)),
-            "linear",
-        )
-        assert canonicalize(tree).to_ast() == tree
-
-    def test_estimate_plan_matches_logical_estimate(self, catalog, small_imager):
-        from repro.query.cost import estimate_query
-
-        box = sector_subbox(small_imager, 0.2, 0.2, 0.7, 0.7)
-        tree = q.ValueMap(q.SpatialRestrict(q.StreamRef("goes.vis"), box), "reflectance")
-        plan = canonicalize(tree, crs_of=dict(catalog.crs_of()))
-        est, _ = estimate_plan(plan, catalog.profiles())
-        ref, _ = estimate_query(plan.to_ast(), catalog.profiles())
-        assert est.points == ref.points and est.work == ref.work
-
 
 class TestOperatorTable:
     def test_build_value_map_kinds(self):
@@ -157,11 +137,19 @@ class TestOperatorTable:
         ]
         for tree in cases:
             plan = canonicalize(tree)
-            assert plan.make_operator() is not None
+            assert make_operator(plan) is not None
 
     def test_leaves_have_no_operator(self):
-        with pytest.raises(PlanError):
-            SourceScan("s").make_operator()
+        for leaf in (q.StreamRef("s"), q.Empty("disjoint")):
+            with pytest.raises(PlanError, match="no physical operator"):
+                make_operator(leaf)
+        # A logical composition has no timestamp policy yet: the DAG refuses
+        # it with a typed error before wiring anything.
+        logical = parse_query("ndvi(reflectance(goes.nir), reflectance(goes.vis))")
+        dag = PlanDAG()
+        with pytest.raises(PlanError, match="unresolved timestamp policy"):
+            dag.add_plan(logical, lambda c: None, root_id=1)
+        assert dag.order == [] and dag.taps == {} and dag.epoch_of == {}
 
 
 class TestLoweringParity:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.plan import SourceScan, ValueMap
+from repro.query import ast as q
 from repro.server import DSMSServer
 
 # Two different continuous queries sharing the reflectance(goes.vis)
@@ -40,8 +40,8 @@ class TestSubplanSharing:
         )
         for stage in shared:
             assert stage.op.stats.chunks_in == n_vis_chunks  # once per chunk
-        assert isinstance(shared[0].node, ValueMap)
-        assert isinstance(shared[0].node.child, SourceScan)
+        assert isinstance(shared[0].node, q.ValueMap)
+        assert isinstance(shared[0].node.child, q.StreamRef)
         # Both queries were still routed every chunk (value queries are
         # unprunable spatially), so sharing saved real work.
         assert stats.pairs_routed == 2 * n_vis_chunks
@@ -75,7 +75,7 @@ class TestSubplanSharing:
         prefix_chunks = sum(
             s.op.stats.chunks_in
             for s in server.plan_dag.order
-            if isinstance(s.node, ValueMap)
+            if isinstance(s.node, q.ValueMap)
         )
         assert prefix_chunks == 2 * n_vis_chunks
         assert server.plan_stats.chunks_saved == 0

@@ -2,10 +2,10 @@
 
 The analyzer, the cost model, the optimizer and the canonicalizer all
 read one bottom-up type pass. The golden corpus (``tests/types_corpus.py``)
-pins what the two public consumers, ``analyze`` and ``estimate_query``,
-answer on every query in the docs, the examples and the analyzer tests plus
-200 seeded random trees; only the entries listed in ``expected_changes``
-may differ from the recorded answer.
+pins what ``analyze``, ``canonicalize`` and ``estimate_query`` answer on
+every query in the docs, the examples and the analyzer tests plus 200
+seeded random trees; only the entries listed in ``expected_changes`` may
+differ from the recorded answer.
 """
 
 import json
@@ -80,7 +80,7 @@ def test_golden_corpus_answers_are_unchanged(golden):
     mismatches = []
     for entry in golden["entries"]:
         now = record_entry(entry["query"], catalog)
-        expected = changed[entry["query"]]["after"] if entry["query"] in changed else entry
+        expected = {**entry, **changed.get(entry["query"], {}).get("after", {})}
         if now != expected:
             mismatches.append(entry["query"])
     assert not mismatches, mismatches
@@ -112,7 +112,7 @@ def _only_the_exception_changed(change) -> bool:
 def test_expected_changes_are_rotate_or_compose(golden):
     recorded = {e["query"]: e for e in golden["entries"]}
     for change in golden["expected_changes"]:
-        assert recorded[change["query"]] == change["before"]
+        assert recorded[change["query"]].items() >= change["before"].items()
         assert _has_rotate_or_uneven_compose(change["query"]) or _only_the_exception_changed(
             change
         ), change["query"]

@@ -92,11 +92,12 @@ def test_rl002_allows_dunder_names(tmp_path):
 
 
 def test_rl003_flags_bare_dataclass_in_nodes(tmp_path):
+    # Plan nodes are the query AST classes, so ast.py is the node file RL003 guards.
     src = (
         "from dataclasses import dataclass\n\n"
-        "@dataclass\nclass SourceScan:\n    stream_id: str\n"
+        "@dataclass\nclass SpatialRestrict:\n    child: object\n"
     )
-    assert codes(lint_source(tmp_path, "src/repro/plan/nodes.py", src)) == ["RL003"]
+    assert codes(lint_source(tmp_path, "src/repro/query/ast.py", src)) == ["RL003"]
 
 
 def test_rl003_flags_frozen_false_in_ast(tmp_path):
@@ -110,9 +111,9 @@ def test_rl003_flags_frozen_false_in_ast(tmp_path):
 def test_rl003_accepts_frozen_and_ignores_other_files(tmp_path):
     frozen = (
         "from dataclasses import dataclass\n\n"
-        "@dataclass(frozen=True)\nclass SourceScan:\n    stream_id: str\n"
+        "@dataclass(frozen=True)\nclass StreamRef:\n    stream_id: str\n"
     )
-    assert lint_source(tmp_path, "src/repro/plan/nodes.py", frozen) == []
+    assert lint_source(tmp_path, "src/repro/query/ast.py", frozen) == []
     mutable = "from dataclasses import dataclass\n\n@dataclass\nclass State:\n    n: int\n"
     assert lint_source(tmp_path, "src/repro/engine/state.py", mutable) == []
 

@@ -1,7 +1,8 @@
-"""Golden corpus for the stream-type table's two public consumers.
+"""Golden corpus for the stream-type table's public consumers.
 
 For every query in the corpus this records what :func:`repro.analysis.analyze`
-reports (code, severity, message, span) and what
+reports (code, severity, message, span), what :func:`repro.plan.canonicalize`
+lowers it to (every canonical node's fingerprint, the sharing key) and what
 :func:`repro.query.estimate_query` prices (totals plus the per-node
 breakdown) against the demo catalog. ``tests/test_query_types.py``
 recomputes each entry and requires an exact match, except for the entries
@@ -165,8 +166,25 @@ def tree_queries(n: int = N_TREES) -> list[str]:
 # -- one entry ---------------------------------------------------------------------
 
 
+def plan_rows(node: Any, twin: Any) -> list[list[str]]:
+    """Pre-order ``[fingerprint, describe()]`` per canonical node.
+
+    ``twin`` is the same query lowered from a second parse. Where the two
+    fingerprints differ the node is keyed by object identity (a region
+    other than a box, e.g. a disjoint intersection), which no recorded
+    value can pin, so the row says ``"by-identity"``. Leaves record their
+    fingerprint only: the fingerprint is the sharing contract, the leaf's
+    label is just text.
+    """
+    fp = node.fingerprint if node.fingerprint == twin.fingerprint else "by-identity"
+    row = [fp, node.describe()] if node.children else [fp]
+    pairs = zip(node.children, twin.children)
+    return [row] + [r for child, other in pairs for r in plan_rows(child, other)]
+
+
 def record_entry(text: str, catalog: Any) -> dict[str, Any]:
     from repro.analysis import analyze
+    from repro.plan import canonicalize
     from repro.query import estimate_query, parse_query
 
     report = analyze(text, catalog)
@@ -185,8 +203,14 @@ def record_entry(text: str, catalog: Any) -> dict[str, Any]:
     try:
         tree = parse_query(text)
     except GeoStreamsError:
-        entry["estimate"] = None
+        entry["plan"] = entry["estimate"] = None
         return entry
+    try:
+        plan = canonicalize(tree, crs_of=catalog.crs_of())
+        twin = canonicalize(parse_query(text), crs_of=catalog.crs_of())
+        entry["plan"] = plan_rows(plan, twin)
+    except Exception as exc:  # noqa: BLE001 - whether lowering fails is recorded
+        entry["plan"] = {"raises": type(exc).__name__}
     try:
         est, breakdown = estimate_query(tree, catalog.profiles())
     except Exception as exc:  # noqa: BLE001 - whether pricing fails is recorded
@@ -219,6 +243,10 @@ def main(argv: list[str]) -> None:
     else:
         entries = [record_entry(text, catalog) for text in document_queries() + tree_queries()]
         changes = previous.get("expected_changes", [])
+        # A moved entry keeps its reference answer; fields added since then
+        # (which no change names) are recorded fresh.
+        before = {c["query"]: c["before"] for c in changes}
+        entries = [{**e, **before.get(e["query"], {})} for e in entries]
     payload = {
         "catalog": "build_demo_catalog(seed=7, n_frames=2, width=96, height=48)",
         "expected_changes": changes,

@@ -20,9 +20,10 @@ Rules:
   _private`` couples packages to names that are free to change; private
   helpers may only be imported within their own package.
 * **RL003 — fingerprinted nodes stay frozen.** Every dataclass in
-  ``repro/plan/nodes.py`` and ``repro/query/ast.py`` must declare
-  ``frozen=True``: plan sharing keys on structural fingerprints cached
-  per node, so a mutable node would silently corrupt the shared DAG.
+  ``repro/query/ast.py`` (the one node hierarchy; canonical plans are
+  query ASTs) must declare ``frozen=True``: plan sharing keys on
+  structural fingerprints cached per node, so a mutable node would
+  silently corrupt the shared DAG.
 * **RL004 — obs registry mutations only under its lock.** Inside
   ``MetricsRegistry``, any statement that mutates ``self._metrics``
   must be lexically within a ``with self._lock:`` block.
@@ -84,7 +85,7 @@ TIMING_ALLOWED = (
     "src/repro/operators/delivery.py",
 )
 
-FROZEN_NODE_FILES = ("src/repro/plan/nodes.py", "src/repro/query/ast.py")
+FROZEN_NODE_FILES = ("src/repro/query/ast.py",)
 
 RANDOM_FORBIDDEN_PREFIX = "src/repro/faults/"
 
@@ -536,8 +537,8 @@ def _check_no_mode_switch(rel: str, tree: ast.AST) -> Iterator[Violation]:
 
 # (repo-relative path prefixes, most lines the files under them may hold together)
 LINE_BUDGETS: tuple[tuple[tuple[str, ...], int], ...] = (
-    (("src/",), 22_962),
-    (("src/repro/server/dsms.py",), 1_060),
+    (("src/",), 22_602),
+    (("src/repro/server/dsms.py",), 1_059),
     (("src/repro/obs/",), 3_707),
     (("src/repro/cli.py",), 1_067),
     (
@@ -546,7 +547,7 @@ LINE_BUDGETS: tuple[tuple[tuple[str, ...], int], ...] = (
             "src/repro/query/cost.py",
             "src/repro/query/types.py",
         ),
-        1_071,
+        1_070,
     ),
 )
 
