@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Collection, Mapping
 
 from ..errors import GeoStreamsError
 from ..geo.region import BoundingBox, Region
-from ..plan.canonical import canonicalize
+from ..plan.compile import compile_query
 from ..plan.ops import VALUE_MAP_DEFAULTS
 from ..query import ast as q
 from ..query.calibration import CalibrationProfile
@@ -339,7 +339,7 @@ def _fmt_bbox(bbox: BoundingBox) -> str:
 
 def _check_canonical(
     tree: q.QueryNode,
-    ctx: StaticContext,
+    catalog: "StreamCatalog | None",
     already: set[str],
 ) -> list[Diagnostic]:
     """Re-derive satisfiability over the *folded* canonical plan.
@@ -365,7 +365,7 @@ def _check_canonical(
         )
 
     try:
-        plan = canonicalize(tree, crs_of=ctx.crs_of)
+        plan = compile_query(tree, catalog or {}, optimize=False).plan
     except GeoStreamsError:
         # CRS resolution failures surface through the AST walk (GS-CRS002).
         return diags
@@ -514,7 +514,7 @@ def analyze(
     diagnostics = list(checker.diagnostics)
 
     already = {d.code for d in diagnostics}
-    diagnostics.extend(_check_canonical(tree, ctx, already))
+    diagnostics.extend(_check_canonical(tree, catalog, already))
 
     if slo is not None:
         diagnostics.extend(

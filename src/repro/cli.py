@@ -31,8 +31,8 @@ from . import obs
 from .engine import format_report, pipeline_report
 from .errors import GeoStreamsError
 from .ingest import GOESImager, SyntheticEarth
-from .plan import canonicalize
-from .query import estimate_query, optimize, parse_query, plan_query
+from .plan import compile_query, plan_to_stream
+from .query import estimate_query, parse_query
 from .server import DSMSServer, StreamCatalog, format_query_request
 
 if TYPE_CHECKING:
@@ -239,16 +239,16 @@ def cmd_explain(args: argparse.Namespace) -> int:
     tree = parse_query(args.query)
     print("parsed:")
     print(tree.pretty(indent=1))
-    result = optimize(tree, dict(catalog.crs_of()))
-    print("\noptimized (rules: " + (", ".join(result.applied) or "none") + "):")
-    print(result.node.pretty(indent=1))
-    plan = canonicalize(result.node, crs_of=dict(catalog.crs_of()))
+    compiled = compile_query(tree, catalog)
+    print("\noptimized (rules: " + (", ".join(compiled.applied) or "none") + "):")
+    print("inexact: " + (", ".join(compiled.inexact) or "none"))
+    print(compiled.optimized.pretty(indent=1))
     print("\nphysical plan (canonical, subplan fingerprints):")
-    print(plan.pretty(indent=1, fingerprints=True))
+    print(compiled.plan.pretty(indent=1, fingerprints=True))
     profiles = catalog.profiles()
     try:
         before, _ = estimate_query(tree, profiles)
-        after, _ = estimate_query(result.node, profiles)
+        after, _ = estimate_query(compiled.optimized, profiles)
         print(
             f"\nestimated per-frame work: {before.work:,.0f} -> {after.work:,.0f} "
             f"point-touches; buffered points: {before.buffer:,.0f} -> {after.buffer:,.0f}"
@@ -304,11 +304,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         if finj is not None:
             _print_fault_summary(finj, fctx)
         return code
-    tree = parse_query(args.query)
-    if not args.no_optimize:
-        tree = optimize(tree, dict(catalog.crs_of())).node
-    sources = {sid: catalog.get(sid) for sid in catalog.ids()}
-    plan = plan_query(tree, sources)
+    compiled = compile_query(parse_query(args.query), catalog, optimize=not args.no_optimize)
+    plan = plan_to_stream(compiled.plan, catalog.get)
     start = time.perf_counter()
     with _fault_scope(fctx):
         frames = plan.collect_frames()
@@ -822,11 +819,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         if finj is not None:
             _print_fault_summary(finj, fctx)
         return code
-    tree = parse_query(args.query)
-    if not args.no_optimize:
-        tree = optimize(tree, dict(catalog.crs_of())).node
-    sources = {sid: catalog.get(sid) for sid in catalog.ids()}
-    plan = plan_query(tree, sources)
+    compiled = compile_query(parse_query(args.query), catalog, optimize=not args.no_optimize)
+    plan = plan_to_stream(compiled.plan, catalog.get)
     with _fault_scope(fctx):
         frames = plan.collect_frames()
     print(f"{len(frames)} frames replayed")

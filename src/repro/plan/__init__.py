@@ -1,10 +1,12 @@
 """Physical plans shared by the pull and push execution paths.
 
-Layering: the query layer parses and optimizes *logical* trees
-(``repro.query.ast``); :func:`canonicalize` rewrites one into canonical
+Layering: the query layer parses *logical* trees (``repro.query.ast``);
+:func:`compile_query` is the one step from such a tree to a plan. It
+optimizes, then :func:`canonicalize` rewrites the result into canonical
 form — the same AST, with restrictions folded, commutative operands
-ordered, regions resolved and composition policies recorded — and that
-tree is the physical plan. Either execution path then turns it into
+ordered, regions resolved and one composition policy recorded — and that
+tree is the physical plan, with its routing rectangles read off it. Either
+execution path then turns it into
 running machinery through the one operator table (:func:`make_operator`):
 pull via :func:`plan_to_stream` (chained lazy generators) or push via
 :class:`PlanDAG` (a shared operator DAG the DSMS feeds chunk-by-chunk,
@@ -12,6 +14,7 @@ with subplan-level sharing across queries keyed by node fingerprint).
 """
 
 from .canonical import COMMUTATIVE_GAMMAS, canonicalize, source_ids
+from .compile import Compiled, compile_query, source_prune_boxes
 from .lower import empty_stream, plan_to_stream
 from .epoch import EpochSwapResult, EpochTransition, PlanEpoch
 from .ops import VALUE_MAP_DEFAULTS, build_composition, build_value_map, make_operator
@@ -21,6 +24,9 @@ __all__ = [
     "source_ids",
     "COMMUTATIVE_GAMMAS",
     "canonicalize",
+    "Compiled",
+    "compile_query",
+    "source_prune_boxes",
     "make_operator",
     "plan_to_stream",
     "empty_stream",

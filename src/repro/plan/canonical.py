@@ -1,32 +1,24 @@
 """Logical AST → the same AST in canonical form, which is the physical plan.
 
-Canonicalization makes structurally different but equivalent query trees
-produce *equal* nodes (hence equal fingerprints), which is what subplan
-sharing keys on:
-
-* commutative compositions (γ in ``+ * sup inf``) order their children
-  deterministically by fingerprint;
-* adjacent restrictions of the same kind fold into one (mirroring the
-  optimizer's ``merge-spatial``/``merge-temporal`` rules, plus value
-  ranges by interval intersection);
-* spatial-restriction regions are resolved into the child's CRS when the
-  source CRSs are known (the planner's safety net, applied once at plan
-  time instead of per lowering);
-* value-map parameters are materialized against their declared defaults
-  so ``reflectance()`` and ``reflectance(bits=10)`` hash identically;
-* each composition's timestamp-matching policy is resolved from the
-  source metadata (or a supplied default) and recorded in the plan.
+Canonicalization makes equivalent query trees produce *equal* nodes (hence
+equal fingerprints), which is what subplan sharing keys on. It is one more
+rule table for the optimizer's fixpoint driver
+(:class:`~repro.query.optimizer.Rewriter`): regions resolve into their
+child's CRS; adjacent restrictions fold (the optimizer's own
+``merge-spatial``/``merge-temporal`` rules, plus value ranges); value-map
+parameters are materialized against their defaults, so ``reflectance()``
+and ``reflectance(bits=10)`` hash identically; every composition records
+the one timestamp policy it is given; and commutative compositions
+(γ in ``+ * sup inf``) order their children by fingerprint.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from ..core.timeset import intersect_timesets
 from ..geo.crs import CRS
-from ..geo.region import intersect_regions
 from ..query import ast as q
-from ..query.types import StaticContext, infer_types
+from ..query.optimizer import Rewriter, Rule
 from .ops import VALUE_MAP_DEFAULTS
 
 __all__ = ["canonicalize", "source_ids", "COMMUTATIVE_GAMMAS"]
@@ -41,93 +33,67 @@ def source_ids(node: q.QueryNode) -> set[str]:
     return {n.stream_id for n in q.walk(node) if isinstance(n, q.StreamRef)}
 
 
-def _leaf_policy(
-    plan: q.QueryNode, policy_of: Mapping[str, str], default_policy: str
-) -> str:
-    """Timestamp policy of the leftmost source below ``plan``.
+def _resolve_region_crs(rw: Rewriter, n: q.QueryNode) -> q.QueryNode | None:
+    if not isinstance(n, q.SpatialRestrict):
+        return None
+    child_crs = rw.crs_of(n.child)
+    if child_crs is None or n.region.crs == child_crs:
+        return None
+    return q.SpatialRestrict(n.child, n.region.transformed(child_crs))
 
-    Matches what the pull executor historically derived from stream
-    metadata: operators preserve the policy, so the composed stream's
-    policy is its leftmost source's.
-    """
-    cur = plan
-    while True:
-        if isinstance(cur, q.StreamRef):
-            return policy_of.get(cur.stream_id, default_policy)
-        children = cur.children
-        if not children:
-            return default_policy
-        cur = children[0]
+
+def _merge_value_range(rw: Rewriter, n: q.QueryNode) -> q.QueryNode | None:
+    if not (isinstance(n, q.ValueRestrict) and isinstance(n.child, q.ValueRestrict)):
+        return None
+    inner = n.child
+    lo = inner.lo if n.lo is None else (n.lo if inner.lo is None else max(n.lo, inner.lo))
+    hi = inner.hi if n.hi is None else (n.hi if inner.hi is None else min(n.hi, inner.hi))
+    return q.ValueRestrict(inner.child, lo, hi)
+
+
+def _value_map_defaults(rw: Rewriter, n: q.QueryNode) -> q.QueryNode | None:
+    if not isinstance(n, q.ValueMap):
+        return None
+    defaults = VALUE_MAP_DEFAULTS.get(n.kind)
+    if defaults is None:
+        params = tuple(sorted(n.params))
+    else:
+        params = tuple((name, float(n.param(name, default))) for name, default in defaults)
+    return None if params == n.params else q.ValueMap(n.child, n.kind, params)
+
+
+def _order_commutative(rw: Rewriter, n: q.QueryNode) -> q.QueryNode | None:
+    if isinstance(n, q.Compose) and n.gamma in COMMUTATIVE_GAMMAS:
+        if n.right.fingerprint < n.left.fingerprint:
+            return q.Compose(n.right, n.left, n.gamma, n.timestamp_policy)
+    return None
 
 
 def canonicalize(
     node: q.QueryNode,
     *,
     crs_of: Mapping[str, CRS] | None = None,
-    policy_of: Mapping[str, str] | None = None,
     default_policy: str = "sector",
 ) -> q.QueryNode:
-    """Rewrite a logical query tree into its canonical physical plan."""
-    types = infer_types(node, StaticContext(crs_of=crs_of))
-    policy_map = dict(policy_of or {})
+    """Rewrite a logical query tree into its canonical physical plan.
 
-    def visit(n: q.QueryNode) -> q.QueryNode:
-        if isinstance(n, q.Compose):
-            left = visit(n.left)
-            right = visit(n.right)
-            # Policy from the original left subtree, mirroring pull-path
-            # semantics, *before* any commutative reordering.
-            policy = _leaf_policy(left, policy_map, default_policy)
-            if n.gamma in COMMUTATIVE_GAMMAS and right.fingerprint < left.fingerprint:
-                left, right = right, left
-            return q.Compose(left, right, n.gamma, policy)
-        if isinstance(n, q.SpatialRestrict):
-            child = visit(n.child)
-            region = n.region
-            child_crs = types[id(n.child)].crs
-            if child_crs is not None and region.crs != child_crs:
-                # Safety net: the optimizer normally maps regions across
-                # CRSs; do it here too so unoptimized queries still run.
-                region = region.transformed(child_crs)
-            if isinstance(child, q.SpatialRestrict) and child.region.crs == region.crs:
-                inner = child
-                if region is inner.region or region == inner.region:
-                    return inner  # identical restriction twice
-                region = intersect_regions(region, inner.region)
-                child = inner.child
-            return q.SpatialRestrict(child, region)
-        if isinstance(n, q.TemporalRestrict):
-            child = visit(n.child)
-            timeset = n.timeset
-            if isinstance(child, q.TemporalRestrict) and child.on_sector == n.on_sector:
-                inner = child
-                if timeset == inner.timeset:
-                    return inner
-                timeset = intersect_timesets(timeset, inner.timeset)
-                child = inner.child
-            return q.TemporalRestrict(child, timeset, n.on_sector)
-        if isinstance(n, q.ValueRestrict):
-            child = visit(n.child)
-            lo, hi = n.lo, n.hi
-            if isinstance(child, q.ValueRestrict):
-                inner = child
-                lo = inner.lo if lo is None else (lo if inner.lo is None else max(lo, inner.lo))
-                hi = inner.hi if hi is None else (hi if inner.hi is None else min(hi, inner.hi))
-                child = inner.child
-            return q.ValueRestrict(child, lo, hi)
-        if isinstance(n, q.ValueMap):
-            child = visit(n.child)
-            defaults = VALUE_MAP_DEFAULTS.get(n.kind)
-            if defaults is None:
-                params = tuple(sorted(n.params))
-            else:
-                params = tuple(
-                    (name, float(n.param(name, default))) for name, default in defaults
-                )
-            return q.ValueMap(child, n.kind, params)
-        if isinstance(n, q.RegionAgg):
-            return q.RegionAgg(visit(n.child), tuple(n.regions), n.func)
-        # Leaves stay as they are; every other kind only canonicalizes below.
-        return n.with_children(*map(visit, n.children))
+    ``default_policy`` is the one timestamp-matching policy every
+    composition in the plan gets; :func:`~repro.plan.compile_query`
+    derives it from the catalog.
+    """
 
-    return visit(node)
+    def set_policy(rw: Rewriter, n: q.QueryNode) -> q.QueryNode | None:
+        if not isinstance(n, q.Compose) or n.timestamp_policy == default_policy:
+            return None
+        return q.Compose(n.left, n.right, n.gamma, default_policy)
+
+    rules: tuple[tuple[str, Rule], ...] = (
+        ("resolve-region-crs", _resolve_region_crs),
+        ("merge-spatial", Rewriter.merge_spatial),
+        ("merge-temporal", Rewriter.merge_temporal),
+        ("merge-value-range", _merge_value_range),
+        ("value-map-defaults", _value_map_defaults),
+        ("set-policy", set_policy),
+        ("commutative-order", _order_commutative),
+    )
+    return Rewriter(rules, crs_of or {}).run(node).node

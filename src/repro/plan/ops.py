@@ -102,7 +102,7 @@ def _composition(n: q.Compose) -> StreamComposition:
     if n.timestamp_policy is None:
         raise PlanError(
             f"{n.describe()} has an unresolved timestamp policy; lower the "
-            "tree with canonicalize() before building operators"
+            "tree with compile_query() before building operators"
         )
     return build_composition(n.gamma, n.timestamp_policy)
 

@@ -32,6 +32,8 @@ Implemented rules (each records its name when applied):
   operator and distribute over composition. Exact for sector-id
   restrictions and through ValueMap/Magnify; a measured-time push through
   a buffering operator or a composition is *inexact* at window edges.
+  Exactness is thus per firing: :attr:`OptimizeResult.inexact` lists the
+  names that fired inexactly.
 * ``temporal-first`` — evaluate the O(1)-per-chunk temporal test before
   per-point spatial tests.
 * ``drop-identity`` — remove Magnify/Coarsen k=1 and Rotate 0.
@@ -39,8 +41,8 @@ Implemented rules (each records its name when applied):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 from ..core.timeset import intersect_timesets
 from ..errors import RegionError
@@ -49,30 +51,44 @@ from ..geo.region import BoundingBox, intersect_regions
 from . import ast as q
 from .types import StaticContext, infer_types
 
-__all__ = ["optimize", "OptimizeResult"]
+__all__ = ["optimize", "OptimizeResult", "Rewriter", "Rule"]
 
 
 @dataclass
 class OptimizeResult:
-    """An optimized tree plus the trace of applied rule names."""
+    """A rewritten tree, the applied rule names and the inexact firings."""
 
     node: q.QueryNode
     applied: list[str]
+    inexact: list[str] = field(default_factory=list)
 
     def explain(self) -> str:
         rules = ", ".join(self.applied) if self.applied else "(no rewrites)"
         return f"applied: {rules}\n{self.node.pretty()}"
 
 
-class _Rewriter:
+class Rewriter:
+    """Bottom-up rewriting to fixpoint over one table of named rules.
+
+    A rule returns a replacement node or ``None``; when it fires, the
+    driver notes its table name unless the rule noted a finer one itself.
+    """
+
     def __init__(
         self,
+        rules: Sequence[tuple[str, "Rule"]],
         crs_of_stream: Mapping[str, CRS],
-        allow_inexact: bool,
+        allow_inexact: bool = True,
     ) -> None:
+        self.rules = rules
         self.facts = StaticContext(crs_of=crs_of_stream)
         self.allow_inexact = allow_inexact
         self.applied: list[str] = []
+        self.inexact: list[str] = []
+
+    def crs_of(self, node: q.QueryNode) -> CRS | None:
+        """Static output CRS of a subtree (``None`` when unknown)."""
+        return infer_types(node, self.facts)[id(node)].crs
 
     # -- individual rules; return a replacement node or None ------------------
 
@@ -127,17 +143,17 @@ class _Rewriter:
         region = node.region
 
         if isinstance(child, q.ValueMap):
-            self._note("push-spatial-valuemap")
+            self.note("push-spatial-valuemap")
             return child.with_children(q.SpatialRestrict(child.child, region))
 
         if isinstance(child, q.Stretch):
             if not self.allow_inexact:
                 return None
-            self._note("push-spatial-stretch")
+            self.note("push-spatial-stretch", exact=False)
             return child.with_children(q.SpatialRestrict(child.child, region))
 
         if isinstance(child, q.Compose):
-            self._note("push-spatial-compose")
+            self.note("push-spatial-compose")
             return q.Compose(
                 q.SpatialRestrict(child.left, region),
                 q.SpatialRestrict(child.right, region),
@@ -153,7 +169,7 @@ class _Rewriter:
                 return None
             if self._pruned_below(child, region.bounding_box):
                 return None  # pruning already in place
-            self._note("push-spatial-magnify")
+            self.note("push-spatial-magnify", exact=False)
             # Keep the outer restriction for pixel-exact boundaries; the
             # inner bounding box does the bulk pruning before zooming.
             return q.SpatialRestrict(
@@ -164,7 +180,7 @@ class _Rewriter:
             )
 
         if isinstance(child, q.Reproject):
-            src_crs = infer_types(child.child, self.facts)[id(child.child)].crs
+            src_crs = self.crs_of(child.child)
             if src_crs is None:
                 return None
             try:
@@ -178,7 +194,7 @@ class _Rewriter:
             # Do not re-insert if pruning is already in place below.
             if self._pruned_below(child, mapped):
                 return None
-            self._note("push-spatial-reproject")
+            self.note("push-spatial-reproject")
             return q.SpatialRestrict(
                 child.with_children(q.SpatialRestrict(child.child, mapped)),
                 region,
@@ -200,7 +216,7 @@ class _Rewriter:
             child,
             (q.ValueMap, q.Stretch, q.Magnify, q.Coarsen, q.Rotate, q.Reproject),
         ) and (exact or self.allow_inexact):
-            self._note("push-temporal-unary")
+            self.note("push-temporal-unary", exact)
             return child.with_children(
                 q.TemporalRestrict(child.child, node.timeset, node.on_sector)
             )
@@ -208,7 +224,7 @@ class _Rewriter:
         # measured-time window pushed into each operand can drop a pair whose
         # two halves fall on either side of the window edge.
         if isinstance(child, q.Compose) and (node.on_sector or self.allow_inexact):
-            self._note("push-temporal-compose")
+            self.note("push-temporal-compose", node.on_sector)
             return q.Compose(
                 q.TemporalRestrict(child.left, node.timeset, node.on_sector),
                 q.TemporalRestrict(child.right, node.timeset, node.on_sector),
@@ -248,7 +264,7 @@ class _Rewriter:
         hi = (node.hi - offset) / gain if node.hi is not None else None
         if gain < 0:
             lo, hi = hi, lo
-        self._note("push-value-rescale")
+        self.note("push-value-rescale")
         return vm.with_children(q.ValueRestrict(vm.child, lo, hi))
 
     def prune_empty(self, node: q.QueryNode) -> q.QueryNode | None:
@@ -289,19 +305,10 @@ class _Rewriter:
 
     # -- driving ------------------------------------------------------------------
 
-    _NAMED_RULES: tuple[tuple[str, str], ...] = (
-        ("prune-empty", "prune_empty"),
-        ("merge-spatial", "merge_spatial"),
-        ("merge-temporal", "merge_temporal"),
-        ("drop-identity", "drop_identity"),
-        ("temporal-first", "temporal_first"),
-        ("push-spatial", "push_spatial"),
-        ("push-temporal", "push_temporal"),
-        ("push-value-rescale", "push_value_through_rescale"),
-    )
-
-    def _note(self, name: str) -> None:
+    def note(self, name: str, exact: bool = True) -> None:
         self.applied.append(name)
+        if not exact:
+            self.inexact.append(name)
 
     def rewrite(self, node: q.QueryNode) -> q.QueryNode:
         # Bottom-up: rewrite children first, then try rules at this node.
@@ -310,15 +317,38 @@ class _Rewriter:
             new_children = tuple(self.rewrite(c) for c in children)
             if any(nc is not oc for nc, oc in zip(new_children, children)):
                 node = node.with_children(*new_children)
-        # Rules that record their own (more specific) trace entries.
-        self_noting = {"push-spatial", "push-temporal", "push-value-rescale"}
-        for name, method in self._NAMED_RULES:
-            replacement = getattr(self, method)(node)
+        for name, rule in self.rules:
+            noted = len(self.applied)
+            replacement = rule(self, node)
             if replacement is not None:
-                if name not in self_noting:
-                    self._note(name)
+                if len(self.applied) == noted:
+                    self.note(name)
                 return self.rewrite(replacement)
         return node
+
+    def run(self, node: q.QueryNode, max_passes: int = 8) -> OptimizeResult:
+        """Rewrite ``node`` to fixpoint (or ``max_passes``)."""
+        current = node
+        for _ in range(max_passes):
+            new = self.rewrite(current)
+            if new == current:
+                break
+            current = new
+        return OptimizeResult(current, self.applied, self.inexact)
+
+
+Rule = Callable[[Rewriter, q.QueryNode], "q.QueryNode | None"]
+
+OPTIMIZER_RULES: tuple[tuple[str, Rule], ...] = (
+    ("prune-empty", Rewriter.prune_empty),
+    ("merge-spatial", Rewriter.merge_spatial),
+    ("merge-temporal", Rewriter.merge_temporal),
+    ("drop-identity", Rewriter.drop_identity),
+    ("temporal-first", Rewriter.temporal_first),
+    ("push-spatial", Rewriter.push_spatial),
+    ("push-temporal", Rewriter.push_temporal),
+    ("push-value-rescale", Rewriter.push_value_through_rescale),
+)
 
 
 def optimize(
@@ -328,11 +358,5 @@ def optimize(
     max_passes: int = 8,
 ) -> OptimizeResult:
     """Rewrite a query tree to fixpoint (or ``max_passes``)."""
-    rewriter = _Rewriter(crs_of_stream or {}, allow_inexact)
-    current = node
-    for _ in range(max_passes):
-        new = rewriter.rewrite(current)
-        if new == current:
-            break
-        current = new
-    return OptimizeResult(current, rewriter.applied)
+    rewriter = Rewriter(OPTIMIZER_RULES, crs_of_stream or {}, allow_inexact)
+    return rewriter.run(node, max_passes)

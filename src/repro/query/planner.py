@@ -1,12 +1,11 @@
-"""Physical planning: lower a query tree onto operator pipelines.
+"""Physical planning: lower a query tree onto an operator pipeline.
 
 The planner is a thin lowering over the plan IR (``repro.plan``): the
-query tree is canonicalized — commutative compositions ordered, adjacent
-restrictions folded, regions resolved into their input CRS — and the
-canonical plan is turned into a lazy GeoStream with fresh operator
-instances per call (fresh so that concurrently registered queries never
-share mutable state). The push compiler lowers from the same IR, so
-operator construction lives in exactly one place.
+query tree is compiled *as written* (no optimizer rewrites) by
+:func:`~repro.plan.compile_query` — the same step every other path
+uses — and the canonical plan is turned into a lazy GeoStream with fresh
+operator instances per call (fresh so that concurrently registered
+queries never share mutable state).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ def plan_query(
     resolver function). Fresh operator instances are created per call.
     """
     # Imported lazily: repro.plan itself imports the query package.
-    from ..plan import canonicalize, plan_to_stream
+    from ..plan import compile_query, plan_to_stream, source_ids
 
     def resolve(stream_id: str) -> GeoStream:
         if callable(catalog):
@@ -41,17 +40,7 @@ def plan_query(
             raise PlanError(f"unknown stream {stream_id!r}") from None
 
     # Resolve every referenced source up front: their CRSs and timestamp
-    # policies feed canonicalization (and unknown streams fail early).
-    sources: dict[str, GeoStream] = {}
-    for ref in (n for n in q.walk(node) if isinstance(n, q.StreamRef)):
-        if ref.stream_id not in sources:
-            sources[ref.stream_id] = resolve(ref.stream_id)
-    plan = canonicalize(
-        node,
-        crs_of={sid: s.crs for sid, s in sources.items()},
-        policy_of={sid: s.metadata.timestamp_policy for sid, s in sources.items()},
-        default_policy="measured",
-    )
-    return plan_to_stream(
-        plan, lambda sid: sources[sid] if sid in sources else resolve(sid)
-    )
+    # policies feed compilation (and unknown streams fail early).
+    sources = {sid: resolve(sid) for sid in source_ids(node)}
+    plan = compile_query(node, sources, optimize=False).plan
+    return plan_to_stream(plan, sources.__getitem__)

@@ -74,6 +74,8 @@ class StreamCatalog:
                 f"unknown stream {stream_id!r}; registered: {sorted(self._streams)}"
             ) from None
 
+    __getitem__ = get
+
     def extent(self, stream_id: str) -> BoundingBox:
         self.get(stream_id)
         return self._extents[stream_id]

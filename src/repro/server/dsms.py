@@ -20,7 +20,6 @@ from ..engine.pipeline import chunk_time
 from ..engine.scheduler import merge_sources
 from ..errors import GeoStreamsError, QueryAnalysisError, ServerError
 from ..faults.recovery import RecoveryContext, current_recovery
-from ..geo.region import BoundingBox
 from ..index.base import RegionIndex
 from ..index.cascade_tree import CascadeTree
 from ..obs.export import register_build_info
@@ -32,21 +31,21 @@ from ..obs.trace import FrameTrace, current_frame_tracer
 from ..operators.base import Operator
 from ..operators.delivery import DeliveredFrame
 from ..plan import (
+    Compiled,
     EpochSwapResult,
     PlanDAG,
     Stage,
-    canonicalize,
+    compile_query,
     source_ids as plan_source_ids,
 )
 from ..query import ast as q
 from ..query.adaptive import AdaptivePolicy
 from ..query.calibration import CalibrationSample, kind_of
 from ..query.cost import estimate_query
-from ..query.optimizer import optimize
 from ..query.parser import parse_query
 from .catalog import StreamCatalog
 from .protocol import Request, parse_request
-from .routing import Router, RouterStats, source_prune_boxes
+from .routing import Router, RouterStats
 from .session import ClientSession, SessionCheckpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,14 +84,11 @@ class _Fanout:
 @dataclass
 class _Registration:
     fanout: _Fanout
-    plan: q.QueryNode
+    # The running plan and its routes; re-planning recompiles
+    # ``compiled.tree`` (the parsed original) from scratch.
+    compiled: Compiled
     stages: list[Stage]
-    boxes: dict[str, BoundingBox | None]
     sources: set[str]
-    # The logical trees the registration was compiled from; re-planning
-    # re-optimizes ``tree`` (the parsed original) from scratch.
-    tree: q.QueryNode | None = None
-    optimized: q.QueryNode | None = None
 
     @property
     def sessions(self) -> list[ClientSession]:
@@ -109,8 +105,7 @@ class _PendingSwap:
     """A requested re-plan waiting for its registration's frame boundary."""
 
     reg_id: int
-    plan: q.QueryNode
-    optimized: q.QueryNode
+    compiled: Compiled
     reason: str
     shed_pressure: float | None
 
@@ -198,9 +193,7 @@ class DSMSServer:
         self._now = 0.0  # stream-time clock: measured time of the latest chunk
         self.router_stats = RouterStats()
         # The shared restriction stage: which registrations want a chunk.
-        self.router = Router(
-            catalog, index_factory, self.router_stats, self._recovery_ctx
-        )
+        self.router = Router(index_factory, self.router_stats, self._recovery_ctx)
         # Optional delivery-lag SLO: per-query watermarks, repro_slo_*
         # metrics, breach callbacks, and shedding escalation.
         self.slo_monitor = SLOMonitor(slo) if slo is not None else None
@@ -267,14 +260,10 @@ class DSMSServer:
                     f"query references unknown stream {ref.stream_id!r}; "
                     f"catalog has {self.catalog.ids()}"
                 )
-        if self.optimize_queries:
-            result = optimize(tree, self.catalog.crs_of())
-            optimized, applied = result.node, result.applied
-        else:
-            optimized, applied = tree, []
-
+        compiled = compile_query(tree, self.catalog, optimize=self.optimize_queries)
         session = ClientSession(
-            self._next_session_id, text, tree, optimized, applied, encode_png=encode_png
+            self._next_session_id, text, tree, compiled.optimized,
+            list(compiled.applied), encode_png=encode_png,
         )
         session.set_clock(lambda: self._now)
         self._next_session_id += 1
@@ -283,10 +272,7 @@ class DSMSServer:
         # intro's "duplicated processes" collapse into a single execution
         # whose results fan out to every subscriber. Different queries
         # sharing only a plan prefix still share those stages below.
-        policy = self._common_timestamp_policy(optimized)
-        plan = canonicalize(
-            optimized, crs_of=dict(self.catalog.crs_of()), default_policy=policy
-        )
+        plan = compiled.plan
         shared = self._find_shared(plan)
         if shared is not None:
             reg_id, registration = shared
@@ -294,13 +280,11 @@ class DSMSServer:
             reg_id = self._next_reg_id
             self._next_reg_id += 1
             fanout = _Fanout()
-            boxes = source_prune_boxes(optimized)
             stages = self.plan_dag.add_plan(plan, fanout, reg_id)
             registration = self._registrations[reg_id] = _Registration(
-                fanout, plan, stages, boxes, plan_source_ids(plan),
-                tree=tree, optimized=optimized,
+                fanout, compiled, stages, plan_source_ids(plan)
             )
-            self.router.add(reg_id, boxes)
+            self.router.add(reg_id, compiled.route_boxes)
         registration.fanout.sessions.append(session)
         self._session_to_reg[session.session_id] = reg_id
         session.bind_trace(reg_id)
@@ -353,20 +337,10 @@ class DSMSServer:
 
     def _find_shared(self, plan: q.QueryNode) -> tuple[int, _Registration] | None:
         for reg_id, registration in self._registrations.items():
-            if (
-                registration.plan.fingerprint == plan.fingerprint
-                and registration.plan == plan
-            ):
+            running = registration.compiled.plan
+            if running.fingerprint == plan.fingerprint and running == plan:
                 return reg_id, registration
         return None
-
-    def _common_timestamp_policy(self, tree: q.QueryNode) -> str:
-        policies = {
-            self.catalog.get(n.stream_id).metadata.timestamp_policy
-            for n in q.walk(tree)
-            if isinstance(n, q.StreamRef)
-        }
-        return policies.pop() if len(policies) == 1 else "sector"  # default
 
     def _recovery_ctx(self) -> RecoveryContext | None:
         return self.recovery if self.recovery is not None else current_recovery()
@@ -388,7 +362,7 @@ class DSMSServer:
         # Refcounted teardown: only stages no surviving query subscribes
         # to are pruned from the shared DAG.
         self.plan_dag.remove_plan(reg_id, registration.stages)
-        self.router.remove(reg_id, registration.boxes)
+        self.router.remove(reg_id, registration.compiled.route_boxes)
 
     def restore_session(self, checkpoint: SessionCheckpoint) -> ClientSession:
         """Re-register a dropped client's query and resume past its checkpoint.
@@ -445,24 +419,18 @@ class DSMSServer:
         reg = self._registrations.get(rid)
         if reg is None:
             raise ServerError(f"unknown query/session id {query!r}")
-        tree = reg.tree if reg.tree is not None else reg.sessions[0].tree
-        result = optimize(tree, self.catalog.crs_of())
-        optimized = result.node
-        policy = self._common_timestamp_policy(optimized)
-        plan = canonicalize(
-            optimized, crs_of=dict(self.catalog.crs_of()), default_policy=policy
-        )
+        compiled = compile_query(reg.compiled.tree, self.catalog)
+        plan = compiled.plan
         if set(plan_source_ids(plan)) != set(reg.sources):
             raise ServerError(
                 "re-planned query reads a different source set; a hot swap "
                 "must keep the same streams"
             )
-        if plan == reg.plan and shed_pressure is None and not force:
+        if plan == reg.compiled.plan and shed_pressure is None and not force:
             return False
         self._pending_swaps[rid] = _PendingSwap(
             reg_id=rid,
-            plan=plan,
-            optimized=optimized,
+            compiled=compiled,
             reason=reason,
             shed_pressure=shed_pressure,
         )
@@ -508,15 +476,14 @@ class DSMSServer:
             session.resume_from(ck)
             checkpoints.append(ck)
         result = self.plan_dag.swap_plan(
-            rid, pending.plan, reg.fanout, reg.stages, reason=pending.reason
+            rid, pending.compiled.plan, reg.fanout, reg.stages, reason=pending.reason
         )
-        reg.plan = pending.plan
+        old_boxes = reg.compiled.route_boxes
+        reg.compiled = pending.compiled
         reg.stages = list(result.stages)
-        reg.optimized = pending.optimized
-        new_boxes = source_prune_boxes(pending.optimized)
-        if new_boxes != reg.boxes:
-            self.router.remove(rid, reg.boxes)
-            reg.boxes = new_boxes
+        new_boxes = pending.compiled.route_boxes
+        if new_boxes != old_boxes:
+            self.router.remove(rid, old_boxes)
             self.router.add(rid, new_boxes)
         for session in reg.sessions:
             session.bind_epoch(result.new_epoch)

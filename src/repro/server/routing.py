@@ -14,74 +14,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..core.chunk import Chunk, GridChunk
-from ..errors import GeoStreamsError, RegionError
+from ..errors import GeoStreamsError
 from ..faults.recovery import RecoveryContext
 from ..geo.region import BoundingBox
 from ..index.base import RegionIndex
 from ..index.naive import NaiveRegionIndex
 from ..obs.registry import get_registry, metrics_enabled
-from ..query import ast as q
-from .catalog import StreamCatalog
 
-__all__ = ["Router", "RouterStats", "source_prune_boxes"]
-
-# Nodes a source-level pruning box may pass through unchanged: they keep
-# point geometry intact (values and timestamps may change freely).
-_GEOMETRY_PRESERVING = (
-    q.TemporalRestrict,
-    q.ValueRestrict,
-    q.ValueMap,
-    q.Stretch,
-    q.TemporalAgg,
-)
-
-
-def source_prune_boxes(node: q.QueryNode) -> dict[str, BoundingBox | None]:
-    """Per-source routing rectangles implied by a (rewritten) query tree.
-
-    Walks the tree carrying the intersection of spatial restrictions seen
-    on the path, resetting at geometry-changing operators (re-projection,
-    zooming, warps). A source mapped to ``None`` needs every chunk.
-    Multiple references to the same source union their boxes.
-    """
-    out: dict[str, BoundingBox | None] = {}
-
-    def visit(n: q.QueryNode, box: BoundingBox | None) -> None:
-        if isinstance(n, q.StreamRef):
-            if n.stream_id in out:
-                prev = out[n.stream_id]
-                if prev is None or box is None:
-                    out[n.stream_id] = None
-                elif prev.crs == box.crs:
-                    out[n.stream_id] = prev.union(box)
-                else:
-                    out[n.stream_id] = None
-            else:
-                out[n.stream_id] = box
-            return
-        if isinstance(n, q.SpatialRestrict):
-            rbox = n.region.bounding_box
-            if box is not None and box.crs == rbox.crs:
-                inter = box.intersection(rbox)
-                rbox = inter if inter is not None else BoundingBox(
-                    rbox.xmin, rbox.ymin, rbox.xmin, rbox.ymin, rbox.crs
-                )
-            visit(n.child, rbox)
-            return
-        if isinstance(n, _GEOMETRY_PRESERVING):
-            visit(n.children[0], box)
-            return
-        if isinstance(n, q.Compose):
-            visit(n.left, box)
-            visit(n.right, box)
-            return
-        # Geometry-changing operator: the box (in output coordinates) says
-        # nothing directly about source coordinates.
-        for child in n.children:
-            visit(child, None)
-
-    visit(node, None)
-    return out
+__all__ = ["Router", "RouterStats"]
 
 
 @dataclass
@@ -116,27 +56,20 @@ class Router:
 
     def __init__(
         self,
-        catalog: StreamCatalog,
         index_factory: type[RegionIndex],
         stats: RouterStats,
         recovery: Callable[[], RecoveryContext | None],
     ) -> None:
-        self._catalog = catalog
         self._index_factory = index_factory
         self._stats = stats
         self._recovery = recovery
         self._streams: dict[str, _StreamRoutes] = {}
 
     def add(self, reg_id: int, boxes: dict[str, BoundingBox | None]) -> None:
-        """Route one registration: a rectangle (``None`` = all) per source."""
+        """Route one registration: a rectangle in the source's CRS (``None``
+        = all) per source, as :func:`~repro.plan.compile_query` derives them."""
         for stream_id, box in boxes.items():
             routes = self._streams.setdefault(stream_id, _StreamRoutes())
-            stream_crs = self._catalog.get(stream_id).crs
-            if box is not None and box.crs != stream_crs:
-                try:
-                    box = box.transformed(stream_crs)
-                except RegionError:
-                    box = None
             routes.entries[reg_id] = box
             if box is None:
                 routes.always.add(reg_id)

@@ -144,7 +144,7 @@ class TestEpochBookkeeping:
         reg = server._registrations[rid]
         before = server.plan_dag.stage_fingerprints(rid)
         result = server.plan_dag.swap_plan(
-            rid, reg.plan, reg.fanout, reg.stages, reason="shed-rate"
+            rid, reg.compiled.plan, reg.fanout, reg.stages, reason="shed-rate"
         )
         assert result.old_epoch == 1 and result.new_epoch == 2
         assert result.grafted == frozenset(before)
@@ -176,10 +176,10 @@ class TestEpochBookkeeping:
         rid = server._session_to_reg[session.session_id]
         reg = server._registrations[rid]
         transition = EpochTransition(server.plan_dag, rid, reason="again")
-        transition.swap(reg.plan, reg.fanout, reg.stages)
+        transition.swap(reg.compiled.plan, reg.fanout, reg.stages)
         transition.commit()
         with pytest.raises(PlanError, match="already committed"):
-            transition.swap(reg.plan, reg.fanout, reg.stages)
+            transition.swap(reg.compiled.plan, reg.fanout, reg.stages)
         with pytest.raises(PlanError, match="already committed"):
             transition.commit()
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TimeInterval, assemble_frames
+from repro.core import GeoStream, Organization, StreamMetadata, TimeInterval, assemble_frames
 from repro.engine.scheduler import merge_sources
 from repro.errors import PlanError
 from repro.geo import latlon
@@ -14,6 +14,7 @@ from repro.plan import (
     build_composition,
     build_value_map,
     canonicalize,
+    compile_query,
     make_operator,
     plan_to_stream,
 )
@@ -24,6 +25,11 @@ from .conftest import sector_subbox
 
 def _scan(sid: str = "s") -> q.QueryNode:
     return q.StreamRef(sid)
+
+
+def _policy_stream(sid: str, policy: str) -> GeoStream:
+    meta = StreamMetadata(sid, "vis", latlon(), Organization.ROW_BY_ROW, timestamp_policy=policy)
+    return GeoStream(meta, lambda: iter(()))
 
 
 class TestCanonicalization:
@@ -93,12 +99,15 @@ class TestCanonicalization:
         plan_raw = canonicalize(tree)
         assert plan_raw.region.crs == ll
 
-    def test_compose_policy_from_leftmost_source(self):
-        plan = canonicalize(
-            q.Compose(_scan("a"), _scan("b"), "ndvi"),
-            policy_of={"a": "measured", "b": "sector"},
-        )
-        assert plan.timestamp_policy == "measured"
+    def test_compose_policy_is_the_sources_common_one(self):
+        # Mixed policies fall back to "sector", whichever source is leftmost.
+        tree = q.Compose(_scan("a"), _scan("b"), "ndvi")
+        for policies, expected in (
+            ({"a": "measured", "b": "sector"}, "sector"),
+            ({"a": "measured", "b": "measured"}, "measured"),
+        ):
+            catalog = {sid: _policy_stream(sid, p) for sid, p in policies.items()}
+            assert compile_query(tree, catalog).plan.timestamp_policy == expected
 
     def test_policy_in_fingerprint(self):
         tree = q.Compose(_scan("a"), _scan("b"), "ndvi")

@@ -4,7 +4,8 @@ Hypothesis generates random query trees; we check the global invariants:
 
 * the algebra is closed — every generated tree plans to a GeoStream that
   executes without error and yields well-formed chunks;
-* the optimizer is idempotent — a second pass changes nothing;
+* the optimizer and the canonicalizer are idempotent — a second pass
+  changes nothing, and recompiling a compiled query gives the same plan;
 * exact rewrite rules preserve results bit-for-bit (inexact stretch
   pushdown disabled);
 * metadata propagation matches execution (declared CRS == chunk CRS).
@@ -14,6 +15,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core import GridChunk, TimeInterval
+from repro.plan import canonicalize, compile_query
 from repro.query import ast as q, optimize, plan_query
 
 from tests.strategies import CRS_OF as _CRS_OF, SOURCES as _SOURCES, region_strategy, tree_strategy
@@ -41,6 +43,10 @@ def test_optimizer_idempotent(tree):
     once = optimize(tree, _CRS_OF, allow_inexact=True).node
     twice = optimize(once, _CRS_OF, allow_inexact=True).node
     assert once == twice
+    canonical = canonicalize(tree, crs_of=_CRS_OF)
+    assert canonicalize(canonical, crs_of=_CRS_OF) == canonical
+    compiled = compile_query(tree, _SOURCES)
+    assert compile_query(compiled.optimized, _SOURCES).plan == compiled.plan
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -324,6 +324,28 @@ def test_rl009_counts_a_group_together(tmp_path):
     assert lint_paths(["src"], root=tmp_path) == []
 
 
+# -- RL010: one compile step --------------------------------------------------------
+
+
+def test_rl010_flags_optimize_and_canonicalize_outside_the_compile_step(tmp_path):
+    src = (
+        "from repro.plan import canonicalize\n"
+        "from repro.query import optimizer\n"
+        "tree = optimizer.optimize(node, crs_of).node\n"
+        "plan = canonicalize(tree, crs_of=crs_of)\n"
+    )
+    found = lint_source(tmp_path, "src/repro/server/x.py", src)
+    assert sorted((v.code, v.line) for v in found) == [("RL010", 3), ("RL010", 4)]
+
+
+def test_rl010_allows_the_compile_step_and_compile_query_callers(tmp_path):
+    src = "plan = canonicalize(optimize(tree, crs_of).node)\n"
+    assert lint_source(tmp_path, "src/repro/plan/compile.py", src) == []
+    clean = "compiled = compile_query(tree, catalog, optimize=False)\n"
+    assert lint_source(tmp_path, "src/repro/server/x.py", clean) == []
+    assert lint_source(tmp_path, "benchmarks/x.py", src) == []
+
+
 # -- framework --------------------------------------------------------------------
 
 

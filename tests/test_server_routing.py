@@ -57,7 +57,7 @@ def implied_table(server):
     """The routing table the live registrations imply, from first principles."""
     table = {}
     for rid, reg in server._registrations.items():
-        for sid, box in source_prune_boxes(reg.optimized).items():
+        for sid, box in source_prune_boxes(reg.compiled.optimized).items():
             stream_crs = server.catalog.get(sid).crs
             if box is not None and box.crs != stream_crs:
                 try:

@@ -58,6 +58,11 @@ Rules:
   (the DSMS server, ``repro.obs``, the CLI, and the analyzer + cost model +
   stream-type table). A change that shrinks a group lowers its budget to
   the new count, so a later change cannot quietly spend the saving.
+* **RL010 — one compile step.** Inside ``src/``, only
+  ``src/repro/plan/compile.py`` may call ``optimize(`` or
+  ``canonicalize(``. Every other path turns a query into a plan through
+  ``compile_query``, so a hand-copied optimize → canonicalize sequence
+  (with its own timestamp policy or routing walk) cannot come back.
 """
 
 from __future__ import annotations
@@ -537,10 +542,10 @@ def _check_no_mode_switch(rel: str, tree: ast.AST) -> Iterator[Violation]:
 
 # (repo-relative path prefixes, most lines the files under them may hold together)
 LINE_BUDGETS: tuple[tuple[tuple[str, ...], int], ...] = (
-    (("src/",), 22_602),
-    (("src/repro/server/dsms.py",), 1_059),
+    (("src/",), 22_598),
+    (("src/repro/server/dsms.py",), 1_026),
     (("src/repro/obs/",), 3_707),
-    (("src/repro/cli.py",), 1_067),
+    (("src/repro/cli.py",), 1_061),
     (
         (
             "src/repro/analysis/checker.py",
@@ -565,6 +570,30 @@ def _check_line_budgets(lines_of: Mapping[str, int]) -> Iterator[Violation]:
             )
 
 
+# -- RL010: only the compile step optimizes and canonicalizes ----------------------
+
+COMPILE_STEP = "src/repro/plan/compile.py"
+COMPILE_CALLS = frozenset({"optimize", "canonicalize"})
+
+
+def _check_one_compile_step(rel: str, tree: ast.AST) -> Iterator[Violation]:
+    if not rel.startswith("src/") or rel == COMPILE_STEP:
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in COMPILE_CALLS:
+            yield Violation(
+                rel,
+                node.lineno,
+                node.col_offset,
+                "RL010",
+                f"{name}() outside {COMPILE_STEP}; compile queries with compile_query",
+            )
+
+
 _CHECKS = (
     _check_timing,
     _check_private_imports,
@@ -574,6 +603,7 @@ _CHECKS = (
     _check_stage_table_mutation,
     _check_timeline_clock,
     _check_no_mode_switch,
+    _check_one_compile_step,
 )
 
 
