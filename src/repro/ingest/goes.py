@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from ..core.lattice import GridLattice
 from ..core.stream import GeoStream, Organization, StreamMetadata
 from ..core.valueset import GRAY10, GRAY16, GRAY8, ValueSet
@@ -33,6 +35,8 @@ __all__ = ["GOESImager", "western_us_sector", "full_disk_sector"]
 # 10,820 points at 1 km resolution (~280 MB). Simulated sectors are scaled
 # down but keep the 2:1-ish aspect.
 GOES_VIS_FRAME_SHAPE = (10_820, 20_840)
+
+_VALUE_SETS = {8: GRAY8, 10: GRAY10, 16: GRAY16}
 
 
 def western_us_sector(
@@ -122,14 +126,9 @@ class GOESImager(Instrument):
         # next — the sequential scenario of Section 3.3's timestamping
         # discussion.
         self.band_interleave = band_interleave
-        if bits == 8:
-            self._value_set: ValueSet = GRAY8
-        elif bits == 10:
-            self._value_set = GRAY10
-        elif bits == 16:
-            self._value_set = GRAY16
-        else:
+        if bits not in _VALUE_SETS:
             raise StreamError(f"unsupported digitization depth {bits} bits")
+        self._value_set: ValueSet = _VALUE_SETS[bits]
         self.bits = bits
 
     # -- scan timing ----------------------------------------------------------
@@ -156,25 +155,23 @@ class GOESImager(Instrument):
     # -- raw downlink ----------------------------------------------------------
 
     def raw_records(self, band: str) -> Iterator[bytes]:
-        """The band's downlink: GVAR-like records, one per scan row."""
+        """The band's downlink: GVAR-like records, one per scan row.
+
+        Each frame is one ``digitize`` call on the whole sector, with an
+        (H, 1) column of the rows' timestamps; then each row is one record.
+        """
         lattice = self.sector_lattice
         lon, lat = self.lonlat_grid(lattice)
         statics = self.scene_statics(lattice)
         for frame in range(self.n_frames):
-            for row in range(lattice.height):
-                t = self.row_timestamp(frame, band, row)
-                row_statics = {k: v[row] for k, v in statics.items()}
-                counts = self.scene.digitize(
-                    band, lon[row], lat[row], t, bits=self.bits, statics=row_statics
-                )
+            times = [self.row_timestamp(frame, band, row) for row in range(lattice.height)]
+            counts = self.scene.digitize(
+                band, lon, lat, np.array(times)[:, None], bits=self.bits, statics=statics
+            )
+            for row, t in enumerate(times):
                 yield encode_record(
-                    sector=frame,
-                    frame=frame,
-                    band=band,
-                    row=row,
-                    t=t,
-                    last=(row == lattice.height - 1),
-                    counts=counts,
+                    sector=frame, frame=frame, band=band, row=row, t=t,
+                    last=(row == lattice.height - 1), counts=counts[row],
                 )
 
     # -- GeoStreams --------------------------------------------------------------

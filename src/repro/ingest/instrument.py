@@ -27,9 +27,8 @@ class Instrument:
     def lonlat_grid(self, lattice: GridLattice) -> tuple[np.ndarray, np.ndarray]:
         """(lon, lat) degree arrays for every pixel center of ``lattice``.
 
-        Inverse-projecting a frame lattice is the most expensive part of
-        simulation, and every frame of a sector shares it, so results are
-        cached per lattice.
+        Every frame and band of a sector re-observes the same pixels, so the
+        inverse projection is computed once and cached per lattice.
         """
         cached = self._lonlat_cache.get(lattice)
         if cached is None:

@@ -34,9 +34,9 @@ SCENE_BANDS = ("vis", "nir", "tir")
 
 def _mix64(h: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer: decorrelate integer lattice coordinates."""
-    h = (h + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    h = ((h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)).astype(np.uint64)
-    h = ((h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)).astype(np.uint64)
+    h = h + np.uint64(0x9E3779B97F4A7C15)
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return h ^ (h >> np.uint64(31))
 
 
@@ -55,8 +55,8 @@ class ValueNoise2D:
     def _corner(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         h = _mix64(
             self._seed
-            ^ _mix64(ix.astype(np.int64).astype(np.uint64))
-            ^ _mix64(~iy.astype(np.int64).astype(np.uint64))
+            ^ _mix64(ix.astype(np.int64).view(np.uint64))
+            ^ _mix64(~iy.astype(np.int64).view(np.uint64))
         )
         return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
@@ -145,7 +145,7 @@ class SyntheticEarth:
         veg = np.clip(moist * 1.4 - 0.2, 0.0, 1.0) * lat_factor
         return np.where(self.water_mask(lon, lat), 0.0, veg)
 
-    def cloud_cover(self, lon: np.ndarray, lat: np.ndarray, t: float) -> np.ndarray:
+    def cloud_cover(self, lon: np.ndarray, lat: np.ndarray, t: float | np.ndarray) -> np.ndarray:
         """Cloud optical fraction in [0, 1], advected eastward with time."""
         drift = t / 3600.0 * 0.5  # degrees of longitude per hour
         raw = self._cloud.fbm(
@@ -153,7 +153,7 @@ class SyntheticEarth:
         )
         return np.clip((raw - 0.55) * 3.0, 0.0, 1.0)
 
-    def solar_elevation(self, lon: np.ndarray, t: float) -> np.ndarray:
+    def solar_elevation(self, lon: np.ndarray, t: float | np.ndarray) -> np.ndarray:
         """Crude solar elevation factor in [0, 1] from local hour angle."""
         hours = (t / 3600.0 + np.asarray(lon) / 15.0) % 24.0
         return np.clip(np.sin((hours - 6.0) / 12.0 * math.pi), 0.0, 1.0)
@@ -184,14 +184,15 @@ class SyntheticEarth:
         band: str,
         lon: np.ndarray,
         lat: np.ndarray,
-        t: float,
+        t: float | np.ndarray,
         statics: dict[str, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Top-of-atmosphere value for a band at time ``t`` (seconds).
 
         ``vis``/``nir`` return reflectance in [0, 1]; ``tir`` returns
         brightness temperature in Kelvin. ``statics`` may carry the output
-        of :meth:`static_fields` for these coordinates.
+        of :meth:`static_fields` for these coordinates. ``t`` may be an
+        array of per-point times that broadcasts against ``lon``/``lat``.
         """
         lon = np.asarray(lon, dtype=float)
         lat = np.asarray(lat, dtype=float)
@@ -210,11 +211,13 @@ class SyntheticEarth:
             diurnal = (self.solar_elevation(lon, t) - 0.5) * 14.0
             temp = base + diurnal - cloud * 35.0 - veg * 4.0 + texture * 20.0
             temp = np.where(water, np.minimum(temp, 295.0 - np.abs(lat) * 0.4), temp)
+            times = np.asarray(t)
             for hs in self.hotspots:
-                if hs.t_start <= t <= hs.t_end:
+                active = (hs.t_start <= times) & (times <= hs.t_end)
+                if np.any(active):
                     d2 = (lon - hs.lon) ** 2 + (lat - hs.lat) ** 2
                     bump = (hs.peak_kelvin - 300.0) * np.exp(-d2 / (hs.radius_deg**2))
-                    temp = temp + np.where(cloud > 0.5, 0.0, bump)
+                    temp = temp + np.where((cloud > 0.5) | ~active, 0.0, bump)
             return temp
 
         if band == "vis":
@@ -231,7 +234,7 @@ class SyntheticEarth:
         band: str,
         lon: np.ndarray,
         lat: np.ndarray,
-        t: float,
+        t: float | np.ndarray,
         bits: int = 10,
         statics: dict[str, np.ndarray] | None = None,
     ) -> np.ndarray:
@@ -239,7 +242,7 @@ class SyntheticEarth:
 
         Adds deterministic per-pixel shot noise derived from position and
         time so repeated scans of a static scene still differ slightly,
-        like a real detector.
+        like a real detector. ``t`` broadcasts as in :meth:`reflectance`.
         """
         value = self.reflectance(band, lon, lat, t, statics=statics)
         if band == "tir":
@@ -257,7 +260,8 @@ class SyntheticEarth:
             np.uint64(self.seed)
             ^ _mix64(lon_i.astype(np.uint64))
             ^ _mix64(lat_i.astype(np.uint64))
-            ^ np.uint64(int(t) & 0xFFFFFFFF)
+            # Elementwise int(t) & 0xFFFFFFFF: truncate toward zero, keep 32 bits.
+            ^ (np.asarray(t).astype(np.int64) & 0xFFFFFFFF).astype(np.uint64)
         )
         noise = ((h >> np.uint64(40)).astype(np.float64) / float(1 << 24) - 0.5) * 2.0
         counts = np.rint(norm * full_scale + noise)

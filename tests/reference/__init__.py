@@ -20,6 +20,11 @@ subclasses such as ``Rescale`` and ``Rotate`` included. Hooks are looked
 up on the class at call time, but an operator's per-stream state is
 created by ``_reset_state`` from its constructor: **build operators
 inside the block and run them inside the block.**
+
+:mod:`tests.reference.ingest` holds the row-at-a-time reference of the
+GOES imager's downlink. It is not in :data:`REFERENCES`: an instrument is
+not an operator kernel, so tests construct it directly instead of
+installing it.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ The chaos suite (:mod:`test_faults_chaos`) checks end-to-end survival;
 this module pins each recovery mechanism in isolation: the deterministic
 backoff schedule, reconnect-without-duplicates, recovery exhaustion,
 session checkpoint/restore, the dead-letter sink's exact contents, the
-router's naive-index fallback, stall-driven shed escalation, and the
-stream generator's poison-record quarantine.
+router's naive-index fallback, stall-driven shed escalation, the
+stream generator's poison-record quarantine, and wire-level faults on the
+real imager's downlink.
 """
 
 from __future__ import annotations
@@ -37,12 +38,15 @@ from repro.operators import AdaptiveLoadShedder
 from repro.query import ast as q
 from repro.server import DSMSServer, StreamCatalog
 
+from tests.reference.ingest import GOESImagerReference
+from tests.test_faults_chaos import SEEDS
+
 DAY_T0 = 72_000.0
 
 
-def make_imager(n_frames: int = 3) -> GOESImager:
+def make_imager(n_frames: int = 3, imager_cls: type[GOESImager] = GOESImager) -> GOESImager:
     crs = goes_geostationary(-135.0)
-    return GOESImager(
+    return imager_cls(
         scene=SyntheticEarth(seed=5),
         sector_lattice=western_us_sector(crs, width=16, height=8),
         n_frames=n_frames,
@@ -424,3 +428,29 @@ class TestGeneratorPoisonRecords:
             chunks = list(gen.decode_stream(records[:-1]))
         assert chunks == []
         assert ctx.dead_letter.by_reason == {"partial-frame-eof": 1}
+
+
+class TestWireFaultsOnTheImager:
+    """Record-level faults between the imager and the stream generator.
+
+    The frame-at-a-time downlink and its row-at-a-time reference must lose
+    the same records and decode the same survivors: the raw-record
+    boundary is where the faults land, and it must not move.
+    """
+
+    @staticmethod
+    def _survivors(imager_cls: type[GOESImager], kind: str, seed: int):
+        imager = make_imager(imager_cls=imager_cls)
+        gen = StreamGenerator(imager.navigation(), imager.organization)
+        injector = FaultInjector(FaultSpec(seed=seed, **{kind: 0.2}))
+        with recovering() as ctx:
+            chunks = list(gen.decode_stream(injector.records(imager.raw_records("vis"))))
+        return chunk_keys(chunks), ctx.dead_letter.by_reason, injector.counts[kind]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("kind", ["drop", "bitflip", "truncate"])
+    def test_same_survivors_as_the_reference(self, kind, seed):
+        chunks, dead, injected = self._survivors(GOESImager, kind, seed)
+        assert injected > 0
+        assert len(chunks) < 3 * 8
+        assert (chunks, dead, injected) == self._survivors(GOESImagerReference, kind, seed)

@@ -1,5 +1,7 @@
 """Synthetic Earth scene: determinism and physical plausibility."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,61 @@ class TestStaticFields:
         assert set(statics) == {"water", "veg", "texture"}
         np.testing.assert_array_equal(statics["water"], scene.water_mask(lon, lat))
         np.testing.assert_array_equal(statics["veg"], scene.vegetation(lon, lat))
+
+
+class TestArrayTime:
+    """A whole frame in one call, with an (H, 1) column of row times."""
+
+    # Negative times (the noise seed truncates toward zero, as int(t) does)
+    # and a hotspot window that opens at row 5 and closes after row 6.
+    T = np.array([-7205.5, -3600.9, -0.5, 0.0, 999.7, 1500.2, 2000.0, 2000.4])
+    # SHA-256 of the 16-bit counts of H scalar row calls, every band in
+    # turn, recorded with the row-at-a-time scene before it took arrays.
+    ROWS_DIGEST = "af44bb073058e04a3eb08782229b76847f0ef8adc5692296a23c17f14f948b20"
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        h, w = len(self.T), 40
+        lon = np.linspace(-130, -100, w)[None, :] + np.linspace(0, 3, h)[:, None]
+        lat = np.linspace(30, 48, h)[:, None] + np.linspace(0, 2, w)[None, :]
+        return lon, lat
+
+    @pytest.fixture(scope="class")
+    def hot_scene(self):
+        hs = Hotspot(lon=-118.0, lat=39.0, t_start=1000.0, t_end=2000.0, radius_deg=8.0)
+        return SyntheticEarth(seed=7, hotspots=(hs,))
+
+    @pytest.mark.parametrize("band", ["vis", "nir", "tir"])
+    def test_frame_call_equals_row_calls(self, hot_scene, grid, band):
+        lon, lat = grid
+
+        def row_calls(method, **kwargs):
+            return np.stack(
+                [method(band, lon[r], lat[r], float(t), **kwargs) for r, t in enumerate(self.T)]
+            )
+
+        column = self.T[:, None]
+        np.testing.assert_array_equal(
+            hot_scene.reflectance(band, lon, lat, column), row_calls(hot_scene.reflectance)
+        )
+        for bits in (8, 10, 16):
+            np.testing.assert_array_equal(
+                hot_scene.digitize(band, lon, lat, column, bits=bits),
+                row_calls(hot_scene.digitize, bits=bits),
+            )
+
+    def test_hotspot_warms_only_rows_inside_its_window(self, hot_scene, grid):
+        lon, lat = grid
+        column = self.T[:, None]
+        warmer = hot_scene.reflectance("tir", lon, lat, column) != SyntheticEarth(
+            seed=7
+        ).reflectance("tir", lon, lat, column)
+        assert np.flatnonzero(warmer.any(axis=1)).tolist() == [5, 6]
+
+    def test_frame_counts_match_the_scalar_scene(self, hot_scene, grid):
+        lon, lat = grid
+        digest = hashlib.sha256()
+        for band in ("vis", "nir", "tir"):
+            counts = hot_scene.digitize(band, lon, lat, self.T[:, None], bits=16)
+            digest.update(counts.astype("<u2").tobytes())
+        assert digest.hexdigest() == self.ROWS_DIGEST
