@@ -24,7 +24,10 @@ inside the block and run them inside the block.**
 :mod:`tests.reference.ingest` holds the row-at-a-time reference of the
 GOES imager's downlink. It is not in :data:`REFERENCES`: an instrument is
 not an operator kernel, so tests construct it directly instead of
-installing it.
+installing it. :mod:`tests.reference.png` holds the per-scanline PNG
+encoder and the copying float scaler of ``encode_image``; it is not in
+:data:`REFERENCES` either, for the same reason: tests call its functions
+directly.
 """
 
 from __future__ import annotations

@@ -103,6 +103,16 @@ class TestEncodeImage:
             encode_image(np.zeros((2, 2)), auto_scale=False)
 
 
+def chunk(tag: bytes, body: bytes) -> bytes:
+    crc = struct.pack(">I", zlib.crc32(tag + body) & 0xFFFFFFFF)
+    return struct.pack(">I", len(body)) + tag + body + crc
+
+
+def png_of(*chunks: bytes) -> bytes:
+    """A PNG of the given chunks, then IEND; every CRC valid."""
+    return b"\x89PNG\r\n\x1a\n" + b"".join(chunks) + chunk(b"IEND", b"")
+
+
 class TestErrors:
     def test_bad_signature(self):
         with pytest.raises(CodecError, match="signature"):
@@ -136,23 +146,30 @@ class TestErrors:
     def test_interlaced_rejected(self):
         # Hand-build an IHDR with interlace=1.
         ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 1)
-        chunk = (
-            struct.pack(">I", len(ihdr))
-            + b"IHDR"
-            + ihdr
-            + struct.pack(">I", zlib.crc32(b"IHDR" + ihdr) & 0xFFFFFFFF)
-        )
-        idat_raw = zlib.compress(b"\x00\x00")
-        idat = (
-            struct.pack(">I", len(idat_raw))
-            + b"IDAT"
-            + idat_raw
-            + struct.pack(">I", zlib.crc32(b"IDAT" + idat_raw) & 0xFFFFFFFF)
-        )
-        iend = struct.pack(">I", 0) + b"IEND" + struct.pack(">I", zlib.crc32(b"IEND") & 0xFFFFFFFF)
-        data = b"\x89PNG\r\n\x1a\n" + chunk + idat + iend
+        data = png_of(chunk(b"IHDR", ihdr), chunk(b"IDAT", zlib.compress(b"\x00\x00")))
         with pytest.raises(CodecError, match="[Ii]nterlaced"):
             decode_png(data)
+
+    def test_truncated_crc(self):
+        data = encode_png(np.zeros((4, 4), dtype=np.uint8))
+        with pytest.raises(CodecError, match="truncated"):
+            decode_png(data[:-2])
+
+    def test_short_ihdr(self):
+        ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)[:12]
+        data = png_of(chunk(b"IHDR", ihdr), chunk(b"IDAT", zlib.compress(b"\x00\x00")))
+        with pytest.raises(CodecError, match="IHDR"):
+            decode_png(data)
+
+    def test_corrupt_idat_stream(self):
+        ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)
+        data = png_of(chunk(b"IHDR", ihdr), chunk(b"IDAT", b"not a zlib stream"))
+        with pytest.raises(CodecError, match="IDAT"):
+            decode_png(data)
+
+    def test_empty_integer_image(self):
+        with pytest.raises(CodecError, match="empty"):
+            encode_image(np.zeros((0, 3), dtype=np.int32))
 
     def test_filter_names_complete(self):
         assert FILTER_NAMES == {"none": 0, "sub": 1, "up": 2, "average": 3, "paeth": 4}
