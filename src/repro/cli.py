@@ -28,10 +28,10 @@ import time
 from typing import TYPE_CHECKING, Sequence
 
 from . import obs
-from .engine import format_report, pipeline_report
+from .engine import format_report
 from .errors import GeoStreamsError
 from .ingest import GOESImager, SyntheticEarth
-from .plan import compile_query, plan_to_stream
+from .plan import compile_query
 from .query import estimate_query, parse_query
 from .server import DSMSServer, StreamCatalog, format_query_request
 
@@ -178,47 +178,49 @@ def _print_fault_summary(injector: "FaultInjector", ctx: "RecoveryContext") -> N
     )
 
 
-def _run_observed_query(
-    catalog: StreamCatalog,
-    query_text: str,
-    args: argparse.Namespace,
-    out_dir: str | None,
+def _run_query(
+    catalog: StreamCatalog, args: argparse.Namespace, counted: str, png_prefix: str
 ) -> int:
-    """Execute one query through the DSMS under full observability.
+    """Run ``args.query`` on a DSMS; print frames, the stats table, write PNGs.
 
-    The DSMS path is used (rather than the pull planner) so the snapshot
-    includes the routing counters and chunk-to-delivery latency histograms
-    the server publishes — plus per-operator spans from the push network
-    and the source-scan merge.
+    ``--trace`` / ``--metrics-out`` run it under full observability, so the
+    report adds the routing counters and delivery-latency histograms the
+    server publishes, plus per-operator spans and the source-scan merge.
     """
-    with obs.observe(trace=True) as ob:
+    catalog, fctx, finj = _maybe_harden(catalog, args)
+    observed = _obs_requested(args)
+    with obs.observe(trace=True) if observed else contextlib.nullcontext() as ob:
         server = DSMSServer(catalog, optimize_queries=not args.no_optimize)
-        session = server.register(query_text)
+        session = server.register(args.query, encode_png=args.out is not None)
         start = time.perf_counter()
-        server.run()
+        with _fault_scope(fctx):
+            server.run()
         elapsed = time.perf_counter() - start
         reports = server.operator_reports()
-    frames = [f.image for f in session.frames]
-    print(f"{len(frames)} frames in {elapsed:.3f}s (via DSMS, traced)")
-    print(format_report(reports, ob.registry))
-    spans = ob.tracer.to_dicts() if ob.tracer is not None else []
-    op_spans = [s for s in spans if s["kind"] != "scheduler"]
-    print(
-        f"observability: {len(spans)} spans ({len(op_spans)} operator), "
-        f"{len(ob.registry)} metrics"
-    )
+    traced = " (traced)" if observed else ""
+    print(f"{len(session.frames)} {counted} in {elapsed:.3f}s{traced}")
+    print(format_report(reports, ob.registry if observed else None))
+    if observed:
+        spans = ob.tracer.to_dicts()
+        op_spans = [s for s in spans if s["kind"] != "scheduler"]
+        print(
+            f"observability: {len(spans)} spans ({len(op_spans)} operator), "
+            f"{len(ob.registry)} metrics"
+        )
     if args.metrics_out is not None:
         lines = obs.snapshot_lines(
-            reports, tracer=ob.tracer, registry=ob.registry, label=query_text
+            reports, tracer=ob.tracer, registry=ob.registry, label=args.query
         )
         n = obs.write_jsonl(args.metrics_out, lines)
         print(f"wrote {n} snapshot records to {args.metrics_out}")
-    if out_dir is not None:
-        target = pathlib.Path(out_dir)
+    if args.out is not None:
+        target = pathlib.Path(args.out)
         target.mkdir(parents=True, exist_ok=True)
         for i, frame in enumerate(session.frames):
-            (target / f"frame_{i:03d}.png").write_bytes(frame.png)
+            (target / f"{png_prefix}_{i:03d}.png").write_bytes(frame.png)
         print(f"wrote {len(session.frames)} PNGs to {target}")
+    if finj is not None:
+        _print_fault_summary(finj, fctx)
     return 0
 
 
@@ -297,31 +299,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     _, catalog = build_demo_catalog(args.seed, args.frames, *args.sector)
-    catalog, fctx, finj = _maybe_harden(catalog, args)
-    if _obs_requested(args):
-        with _fault_scope(fctx):
-            code = _run_observed_query(catalog, args.query, args, args.out)
-        if finj is not None:
-            _print_fault_summary(finj, fctx)
-        return code
-    compiled = compile_query(parse_query(args.query), catalog, optimize=not args.no_optimize)
-    plan = plan_to_stream(compiled.plan, catalog.get)
-    start = time.perf_counter()
-    with _fault_scope(fctx):
-        frames = plan.collect_frames()
-    elapsed = time.perf_counter() - start
-    print(f"{len(frames)} frames in {elapsed:.3f}s")
-    print(format_report(pipeline_report(plan)))
-    if finj is not None:
-        _print_fault_summary(finj, fctx)
-    if args.out is not None:
-        out_dir = pathlib.Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, frame in enumerate(frames):
-            path = out_dir / f"frame_{i:03d}.png"
-            path.write_bytes(frame.to_png_bytes())
-        print(f"wrote {len(frames)} PNGs to {out_dir}")
-    return 0
+    return _run_query(catalog, args, "frames", "frame")
 
 
 def _serve_demo_once(args: argparse.Namespace) -> tuple[DSMSServer, list, float]:
@@ -812,28 +790,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     for path in args.archives:
         stream = catalog.register_archive(path)
         print(f"registered {stream.stream_id!r} from {path}")
-    catalog, fctx, finj = _maybe_harden(catalog, args)
-    if _obs_requested(args):
-        with _fault_scope(fctx):
-            code = _run_observed_query(catalog, args.query, args, args.out)
-        if finj is not None:
-            _print_fault_summary(finj, fctx)
-        return code
-    compiled = compile_query(parse_query(args.query), catalog, optimize=not args.no_optimize)
-    plan = plan_to_stream(compiled.plan, catalog.get)
-    with _fault_scope(fctx):
-        frames = plan.collect_frames()
-    print(f"{len(frames)} frames replayed")
-    print(format_report(pipeline_report(plan)))
-    if finj is not None:
-        _print_fault_summary(finj, fctx)
-    if args.out is not None:
-        out_dir = pathlib.Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, frame in enumerate(frames):
-            (out_dir / f"replay_{i:03d}.png").write_bytes(frame.to_png_bytes())
-        print(f"wrote {len(frames)} PNGs to {out_dir}")
-    return 0
+    return _run_query(catalog, args, "frames replayed", "replay")
 
 
 def build_parser() -> argparse.ArgumentParser:

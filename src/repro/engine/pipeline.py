@@ -1,77 +1,61 @@
-"""Push-based chunk pipeline executor.
+"""GeoStreams over the one executor: every derived stream runs a PlanDAG.
 
 Operators are composed into lazy GeoStreams (the algebra's closure
-property): ``apply_operators`` chains unary operators onto a stream, and
-``compose_streams`` merges two streams through a binary operator in
-arrival-time order — simulating how chunks from two spectral channels
-would interleave on the wire.
+property): ``apply_operators`` (``GeoStream.pipe``) chains unary operators
+onto a stream, ``compose_streams`` merges two streams through a binary
+operator, and :func:`repro.plan.plan_to_stream` lowers a whole plan. Each
+is a thin adapter, :func:`dag_stream`: it wires a private
+:class:`~repro.plan.stages.PlanDAG` — the same push network the DSMS runs
+— whose sources are the upstream streams, and iterating the result feeds
+that DAG and yields what reaches its sink.
 
-Re-opening a piped stream resets its operators first, so the same
-declared query can be executed repeatedly (each benchmark run, each
-registered continuous query evaluation). A pipeline is therefore not
-safely iterable from two places *simultaneously*: each open invalidates
-every earlier iterator, and pulling a stale one raises ``StreamError``
-instead of silently corrupting the freshly-reset operator state. The
-DSMS gives each registered query its own operator instances.
+Sources are fed in measured-time order, ties to the earlier source (a
+composition's left input before its right) — simulating how chunks from
+two spectral channels would interleave on the wire. A DAG of unary stages
+over one source is fed in bounded blocks (:meth:`PlanDAG.feed_many`), so
+operators can batch across chunks.
+
+Re-opening a derived stream resets its DAG first, so the same declared
+query can be executed repeatedly (each benchmark run, each registered
+continuous query evaluation). A stream is therefore not safely iterable
+from two places *simultaneously*: each open invalidates every earlier
+iterator, and pulling a stale one raises ``StreamError`` instead of
+silently corrupting the freshly-reset operator state. The DSMS gives each
+registered query its own operator instances.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+import heapq
+from itertools import islice, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..core.chunk import Chunk, chunk_time
-from ..core.stream import GeoStream
+from ..core.stream import GeoStream, StreamMetadata
 from ..errors import StreamError
 from ..faults.recovery import current_recovery
-from ..obs.probe import Instruments, StageProbe, current, now
+from ..obs.probe import current
 from ..operators.base import BinaryOperator, Operator
 
 if TYPE_CHECKING:
-    from ..faults.recovery import RecoveryContext
+    from ..plan.stages import PlanDAG
 
 __all__ = [
     "apply_operators",
     "compose_streams",
     "chunk_time",
+    "dag_stream",
     "iter_pipeline_operators",
-    "run_step",
 ]
 
+_Sink = Callable[[Chunk], None]
 
-def _epoch_guard(
-    it: Iterator[Chunk], state: dict, epoch: int, stream_id: str
-) -> Iterator[Chunk]:
-    """Invalidate an iterator once its pipeline has been re-opened.
-
-    Opening a piped stream resets the (shared, mutable) operators, so any
-    iterator from an earlier open would silently interleave with corrupted
-    state. The check runs *before* each pull, so no operator ever sees a
-    chunk from a stale iteration.
-    """
-    while True:
-        if state["epoch"] != epoch:
-            raise StreamError(
-                f"piped stream {stream_id!r} was re-opened while a previous "
-                "iteration was still in progress; a pipeline is not safely "
-                "iterable from two places simultaneously (collect one "
-                "iteration before starting another, or plan the query twice "
-                "for independent operator state)"
-            )
-        try:
-            chunk = next(it)
-        except StopIteration:
-            return
-        yield chunk
-
-
-# Block bounds for the bare pull executor: a block holds up to
-# _BLOCK_CHUNKS chunks — enough to amortize per-block overhead and expose
-# cross-chunk batching to process_many overrides — but no more than fit in
-# _BLOCK_POINTS. The point budget is what keeps the pipeline streaming
-# whatever the chunk size: read-ahead is a constant number of points (256
-# rows of a 1024-wide sector), not 256 whole frames of an image-by-image
-# stream.
+# Block bounds for bare feeding: a block holds up to _BLOCK_CHUNKS chunks
+# — enough to amortize per-block overhead and expose cross-chunk batching
+# to process_many overrides — but no more than fit in _BLOCK_POINTS. The
+# point budget is what keeps the stream streaming whatever the chunk
+# size: read-ahead is a constant number of points (256 rows of a
+# 1024-wide sector), not 256 whole frames of an image-by-image stream.
 _BLOCK_CHUNKS = 256
 _BLOCK_POINTS = 1 << 18
 
@@ -87,81 +71,97 @@ def _blocks(chunks: Iterable[Chunk]) -> Iterator[list[Chunk]]:
         yield block
 
 
-def _block_feed(chunks: Iterable[Chunk], op: Operator) -> Iterator[Chunk]:
-    """Bare-path executor: drive ``process_many`` over bounded blocks.
+def _output_metadata(
+    dag: PlanDAG, sources: Mapping[str, GeoStream]
+) -> StreamMetadata | None:
+    """The metadata reaching the sink: each stage's, in topological order."""
+    inputs: dict[int, dict[str | None, StreamMetadata]] = {}
+    result = None
 
-    Per-chunk generator setup dominates the bare pull path once kernels
-    are vectorized, so blocks of chunks go through one ``process_many``
-    call each. Output chunks, order, and stats are identical to the
-    per-chunk loop wherever a block is cut; only call granularity
-    changes. Stats/trace/recovery paths keep per-chunk feeding — their
-    accounting is defined per processing call.
+    def route(edges: Iterable, metadata: StreamMetadata) -> None:
+        nonlocal result
+        for edge in edges:
+            if edge.stage is None:
+                result = metadata
+            else:
+                inputs.setdefault(id(edge.stage), {})[edge.side] = metadata
+
+    for stream_id, edges in dag.taps.items():
+        route(edges, sources[stream_id].metadata)
+    for stage in dag.order:
+        got, op = inputs[id(stage)], stage.op
+        if isinstance(op, BinaryOperator):
+            route(stage.outputs, op.output_metadata(got["left"], got["right"]))
+        else:
+            route(stage.outputs, op.output_metadata(got[None]))
+    return result
+
+
+def dag_stream(
+    sources: Mapping[str, GeoStream], wire: Callable[[PlanDAG, _Sink], object]
+) -> GeoStream:
+    """The GeoStream a private PlanDAG delivers when fed ``sources``.
+
+    ``wire(dag, sink)`` builds the network; its source ids are the keys
+    of ``sources``. The result exposes ``pipeline_operators`` (the DAG's
+    operators, in topological order) and ``upstreams`` (the sources) for
+    stats reports.
     """
-    for block in _blocks(chunks):
-        yield from op.process_many(block)
-    yield from op.flush()
+    from ..plan.stages import PlanDAG  # repro.plan imports this module
 
+    dag = PlanDAG()
+    out: list[Chunk] = []
+    wire(dag, out.append)
+    metadata = _output_metadata(dag, sources)
+    assert metadata is not None, "the network delivers nothing to its sink"
+    # Blocks keep the per-chunk order only through a chain of unary stages.
+    blockable = len(sources) == 1 and not any(
+        isinstance(op, BinaryOperator) for op in dag.operators()
+    )
+    opens = [0]
 
-def _call(
-    op: Operator | BinaryOperator,
-    chunk: Chunk | None,
-    side: str | None,
-    ctx: "RecoveryContext | None",
-) -> Iterable[Chunk]:
-    """One bare operator call: ``chunk`` None is the flush, ``side`` a binary input.
+    def run(opened: int, its: dict[str, Iterator[Chunk]]) -> Iterator[Chunk]:
+        def fresh() -> None:
+            if opens[0] != opened:
+                raise StreamError(
+                    f"piped stream {metadata.stream_id!r} was re-opened while a "
+                    "previous iteration was still in progress; a pipeline is not "
+                    "safely iterable from two places simultaneously (collect one "
+                    "iteration before starting another, or plan the query twice "
+                    "for independent operator state)"
+                )
 
-    Under a recovery context (degrade-gracefully mode) a chunk the
-    operator cannot process is quarantined to the dead-letter sink
-    instead of killing the pipeline.
-    """
-    if ctx is not None:
-        return ctx.guard_flush(op) if chunk is None else ctx.guard(op, chunk, side)
-    if chunk is None:
-        return op.flush()
-    return op.process_side(side, chunk) if side is not None else op.process(chunk)
+        def drain() -> Iterator[Chunk]:
+            batch = out[:]
+            out.clear()
+            for chunk in batch:
+                yield chunk
+                fresh()  # resumed after a re-open: the operators were reset under us
 
+        fresh()
+        if blockable and not current().steps and current_recovery() is None:
+            ((stream_id, it),) = its.items()
+            for block in _blocks(it):
+                dag.feed_many(stream_id, block)
+                yield from drain()
+        else:
+            tagged = [zip(repeat(sid), it) for sid, it in its.items()]
+            for stream_id, chunk in heapq.merge(*tagged, key=lambda p: chunk_time(p[1])):
+                dag.feed(stream_id, chunk)
+                yield from drain()
+        dag.flush()
+        yield from drain()
 
-def run_step(
-    op: Operator | BinaryOperator,
-    chunk: Chunk | None,
-    side: str | None,
-    ctx: "RecoveryContext | None",
-    probe: StageProbe | None,
-) -> Iterable[Chunk]:
-    """The one operator step both executors take.
+    def source() -> Iterator[Chunk]:
+        opens[0] += 1
+        dag.reset()
+        out.clear()
+        return run(opens[0], {sid: stream.chunks() for sid, stream in sources.items()})
 
-    With no probe (nothing installed), or a chunk the probe does not
-    observe, this is the bare call. Otherwise the outputs are
-    materialized inside the timed section — so it covers only this
-    operator's work, not downstream consumers pulling on a generator —
-    and accounted once through :meth:`StageProbe.record`.
-    """
-    if probe is None or not probe.observes(chunk):
-        return _call(op, chunk, side, ctx)
-    t0 = now()
-    outs = list(_call(op, chunk, side, ctx))
-    return probe.record(chunk, outs, t0, now())
-
-
-def _probe(ins: Instruments, op: Operator | BinaryOperator) -> StageProbe | None:
-    """A per-open probe for a pull operator, None when nothing observes steps.
-
-    Pull pipelines have no shared stages, but the plan lowering stamps
-    each operator with its plan node's fingerprint/kind, so what a probe
-    records lands in the same per-subplan ledgers and hop keys the push
-    DAG uses.
-    """
-    return StageProbe(op).bind(ins) if ins.steps else None
-
-
-def _feed(chunks: Iterable[Chunk], op: Operator, probe: StageProbe | None) -> Iterator[Chunk]:
-    ctx = current_recovery()
-    if probe is None and ctx is None:
-        yield from _block_feed(chunks, op)
-        return
-    for chunk in chunks:
-        yield from run_step(op, chunk, None, ctx, probe)
-    yield from run_step(op, None, None, ctx, probe)
+    result = GeoStream(metadata, source)
+    result.pipeline_operators = dag.operators()  # type: ignore[attr-defined]
+    result.upstreams = tuple(sources.values())  # type: ignore[attr-defined]
+    return result
 
 
 def apply_operators(stream: GeoStream, operators: Sequence[Operator]) -> GeoStream:
@@ -173,36 +173,10 @@ def apply_operators(stream: GeoStream, operators: Sequence[Operator]) -> GeoStre
                 f"{type(op).__name__} is not a unary Operator; use "
                 "compose_streams for binary operators"
             )
-    metadata = stream.metadata
-    for op in operators:
-        metadata = op.output_metadata(metadata)
-    state = {"epoch": 0}
-
-    def source() -> Iterator[Chunk]:
-        state["epoch"] += 1
-        epoch = state["epoch"]
-        for op in operators:
-            op.reset()
-        it: Iterator[Chunk] = stream.chunks()
-        ins = current()
-        tracer = ins.tracer
-        # Parent spans follow dataflow: each operator's span hangs off
-        # the one feeding it, rooted at the upstream stream's tail span.
-        parent = tracer.span_for_stream(stream) if tracer is not None else None
-        for op in operators:
-            probe = _probe(ins, op)
-            if tracer is not None:  # a tracer observes steps, so there is a probe
-                parent = probe.open_span(parent)
-            it = _feed(it, op, probe)
-        if tracer is not None and parent is not None:
-            tracer.bind_stream(result, parent)
-        return _epoch_guard(it, state, epoch, metadata.stream_id)
-
-    result = GeoStream(metadata, source)
-    # Expose the pipeline for stats inspection and plan introspection.
-    result.pipeline_operators = operators  # type: ignore[attr-defined]
-    result.upstreams = (stream,)  # type: ignore[attr-defined]
-    return result
+    sid = stream.stream_id
+    return dag_stream(
+        {sid: stream}, lambda dag, sink: dag.add_operators(operators, [sid], sink, 0)
+    )
 
 
 def compose_streams(
@@ -217,58 +191,14 @@ def compose_streams(
     """
     if not isinstance(operator, BinaryOperator):
         raise StreamError(f"{type(operator).__name__} is not a BinaryOperator")
-    metadata = operator.output_metadata(left.metadata, right.metadata)
-    state = {"epoch": 0}
-
-    def source() -> Iterator[Chunk]:
-        state["epoch"] += 1
-        epoch = state["epoch"]
-        operator.reset()
-        li, ri = left.chunks(), right.chunks()
-        ins = current()
-        tracer = ins.tracer
-        probe = _probe(ins, operator)
-        if tracer is not None:  # a tracer observes steps, so there is a probe
-            lspan = tracer.span_for_stream(left)
-            rspan = tracer.span_for_stream(right)
-            span = probe.open_span(
-                lspan, inputs=[s.span_id for s in (lspan, rspan) if s is not None]
-            )
-            tracer.bind_stream(result, span)
-        return _epoch_guard(
-            _merge(li, ri, operator, probe), state, epoch, metadata.stream_id
-        )
-
-    result = GeoStream(metadata, source)
-    result.pipeline_operators = [operator]  # type: ignore[attr-defined]
-    result.upstreams = (left, right)  # type: ignore[attr-defined]
-    return result
-
-
-def _merge(
-    left: Iterator[Chunk],
-    right: Iterator[Chunk],
-    operator: BinaryOperator,
-    probe: StageProbe | None,
-) -> Iterator[Chunk]:
-    ctx = current_recovery()
-    lc = next(left, None)
-    rc = next(right, None)
-    while lc is not None or rc is not None:
-        take_left = rc is None or (lc is not None and chunk_time(lc) <= chunk_time(rc))
-        if take_left:
-            assert lc is not None
-            yield from run_step(operator, lc, "left", ctx, probe)
-            lc = next(left, None)
-        else:
-            assert rc is not None
-            yield from run_step(operator, rc, "right", ctx, probe)
-            rc = next(right, None)
-    yield from run_step(operator, None, None, ctx, probe)
+    return dag_stream(
+        {"left": left, "right": right},
+        lambda dag, sink: dag.add_operators([operator], ["left", "right"], sink, 0),
+    )
 
 
 def iter_pipeline_operators(stream: GeoStream) -> Iterator[Operator | BinaryOperator]:
-    """Walk a piped stream's operator DAG upstream-first (for stats reports)."""
+    """Walk a derived stream's operators upstream-first (for stats reports)."""
     upstreams = getattr(stream, "upstreams", ())
     for upstream in upstreams:
         yield from iter_pipeline_operators(upstream)

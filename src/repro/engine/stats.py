@@ -1,7 +1,7 @@
 """Execution statistics reporting.
 
-Benchmarks and the DSMS inspect operator-level counters through these
-helpers; the report format is what EXPERIMENTS.md rows are generated from.
+Benchmarks, the CLI and the DSMS inspect operator-level counters through
+these helpers.
 """
 
 from __future__ import annotations

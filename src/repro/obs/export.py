@@ -8,11 +8,11 @@ object per line (``type`` discriminates: meta / operator / span / counter
 / gauge / histogram). Scrapers want the Prometheus exposition format —
 :func:`to_prometheus` renders the registry with proper label escaping.
 
-Span trees are *normalized* on export: push-network spans record their
+Span trees are *normalized* on export: plan-DAG stage spans record their
 parent in consumer order (see ``Span.direction``), and
 :func:`normalize_spans` re-parents those edges into dataflow order so
-exported trees read source-to-sink regardless of execution mode. The raw
-``Tracer.to_dicts()`` output is left untouched.
+exported trees read source-to-sink. The raw ``Tracer.to_dicts()`` output
+is left untouched.
 
 Frame traces (:mod:`repro.obs.trace`) export two ways:
 :func:`traces_to_chrome` emits Chrome trace-event JSON (load it in
@@ -69,11 +69,10 @@ def _report_dict(report: object) -> dict:
 def normalize_spans(spans: Sequence[dict]) -> list[dict]:
     """Re-parent consumer-direction spans into dataflow order.
 
-    Pull-pipeline spans already parent producer-to-consumer
-    (``direction == "dataflow"``) and pass through unchanged. Compiled
-    push networks open stage spans parented on their *consumer*
-    (``direction == "consumer"``); here each such edge is reversed so the
-    consumer's exported parent is one of its producers. On fan-in the
+    Plan-DAG stages open their spans parented on their *consumer*
+    (``direction == "consumer"``; the only spans with a parent); here
+    each such edge is reversed so the consumer's exported parent is one
+    of its producers. On fan-in the
     lowest-id producer wins and the rest land in
     ``attrs["extra_parents"]`` — the tree stays a tree but no lineage is
     lost. Input dicts are not mutated.
@@ -82,8 +81,6 @@ def normalize_spans(spans: Sequence[dict]) -> list[dict]:
     by_id = {span["span_id"]: span for span in out}
     producers: dict[int, list[int]] = {}
     for span in out:
-        if span.get("direction") != "consumer":
-            continue
         parent = span.get("parent_id")
         if parent is not None and parent in by_id:
             producers.setdefault(parent, []).append(span["span_id"])

@@ -9,8 +9,8 @@ module slot holding an immutable :class:`Instruments` record.
 :func:`install` is its only writer; the five ``current_*`` readers in the
 sibling modules are one-line views of it.
 
-Both executors (the push DAG in :mod:`repro.plan.stages` and the pull
-pipeline in :mod:`repro.engine.pipeline`) account an operator call
+The executor (a :class:`~repro.plan.stages.Stage` of a plan DAG, which
+the DSMS and every derived GeoStream run) accounts an operator call
 through a :class:`StageProbe`: one :func:`now` pair around the call, one
 :meth:`StageProbe.record`. The stage's ``Span``, its ``StageStats``
 ledger, the frame trace's hop and the provenance / trace-context stamp on
@@ -18,7 +18,7 @@ the outputs are all folds of that one ``(chunk, outs, t0, t1)`` record,
 so EXPLAIN ANALYZE, ``/metrics``, a frame waterfall and ``top`` cannot
 disagree about a stage: none of them is the authority, the record is.
 
-Zero-cost rule: with nothing installed an executor's whole test is
+Zero-cost rule: with nothing installed the executor's whole test is
 ``current().steps``; with only a frame tracer installed a sampled-out
 chunk (``chunk.trace is None``) is not timed either. This is the only
 module under ``src/repro`` that may read the clock around an operator
@@ -66,7 +66,7 @@ class Instruments:
     frame_tracer: FrameTracer | None = None
     store: MetricStore | None = None
     journal: EventJournal | None = None
-    #: Derived: does anything here observe operator steps? The executors'
+    #: Derived: does anything here observe operator steps? The executor's
     #: fast-path test (the store and journal never look at a step).
     steps: bool = field(init=False, repr=False, compare=False)
 
@@ -114,7 +114,7 @@ class StageProbe:
     """One operator's bookkeeping under one :class:`Instruments` record.
 
     The key is the subplan fingerprint (``pull:<name>`` for a hand-built
-    pull operator no plan node stamped), shared by the span's ``stage``
+    operator, which has no plan node), shared by the span's ``stage``
     attribute, the ``StageStats`` ledger and the frame hop. The executor
     owns topology — when to :meth:`bind`, which parent :meth:`open_span`
     hangs the span off — the probe owns everything measured.
@@ -126,15 +126,13 @@ class StageProbe:
     )
 
     def __init__(self, op: Operator | BinaryOperator, node: QueryNode | None = None) -> None:
-        fingerprint = node.fingerprint if node is not None else op.plan_fingerprint
         self.op = op
-        self.key = fingerprint or f"pull:{op.name}"
-        self.hop_kind = "stage" if fingerprint else "pull"
         if node is not None:
+            self.key, self.hop_kind = node.fingerprint, "stage"
             self.label, self.kind = node.describe(), type(node).__name__
         else:
-            self.label = op.plan_label or op.name
-            self.kind = op.plan_kind or type(op).__name__
+            self.key, self.hop_kind = f"pull:{op.name}", "pull"
+            self.label, self.kind = op.name, type(op).__name__
         self.ins = _IDLE
         self.span: Span | None = None
         # Cumulative merged provenance of everything the operator has

@@ -25,8 +25,8 @@ Hop keys are chosen so traces cross-reference the rest of the
 observability stack: a shared-plan stage's hop key *is* its subplan
 fingerprint — the same key ``StageStats`` and ``EXPLAIN ANALYZE`` use —
 so a slow bar in the waterfall links directly to that stage's aggregate
-exemplar.  Pull operators reuse the stats ledger key
-(``plan_fingerprint`` or ``pull:<name>``), sources use
+exemplar.  Hand-built operators (``pipe``, ``compose_streams``) reuse
+the stats ledger key ``pull:<name>``, sources use
 ``source:<stream_id>`` and delivery uses ``delivery``.
 
 Zero-cost discipline: the frame tracer is one field of the installed

@@ -4,15 +4,13 @@ A :class:`Span` aggregates one operator's (or one scheduler stage's)
 per-chunk work over a run: wall-clock processing time, chunk and point
 throughput, and the stream-time interval it covered — so stream-time vs
 wall-time lag falls out per operator, not just per run. Spans carry
-``parent_id`` links mirroring the operator DAG: in pull pipelines a span's
-parent is its *upstream* operator (data flows root-to-leaf), in compiled
-push networks a stage's parent is its *consumer* (the span tree mirrors
-the query tree). Each span declares which convention it used via its
-``direction`` attribute (``"dataflow"`` for pull, ``"consumer"`` for
-push); :func:`repro.obs.export.normalize_spans` re-parents consumer
-trees into dataflow order so exporters and waterfalls render pull and
-push runs identically.  Raw ``to_dicts()`` output keeps the original
-links.
+``parent_id`` links mirroring the operator DAG: a plan-DAG stage's parent
+is its *consumer* (the span tree mirrors the query tree), which its
+``direction`` attribute records (``"consumer"``; spans with no operator
+parent, such as the scheduler's, say ``"dataflow"``);
+:func:`repro.obs.export.normalize_spans` re-parents the tree into
+dataflow order for exporters and waterfalls. Raw ``to_dicts()`` output
+keeps the original links.
 
 Tracing follows the same zero-cost rule as the registry: the tracer is
 one field of the installed :class:`~repro.obs.probe.Instruments` record,
@@ -222,18 +220,6 @@ class Tracer:
         return registry.histogram(
             "pipeline_op_seconds", buckets=DEFAULT_BUCKETS, operator=name
         )
-
-    # -- stream linkage (parent spans across pipe() boundaries) ---------------
-
-    def bind_stream(self, stream: object, span: Span) -> None:
-        """Remember the tail span of a piped stream for downstream parenting."""
-        try:
-            stream._obs_tail_span = span  # type: ignore[attr-defined]
-        except AttributeError:  # exotic stream-likes with __slots__
-            pass
-
-    def span_for_stream(self, stream: object) -> Span | None:
-        return getattr(stream, "_obs_tail_span", None)
 
     # -- inspection -----------------------------------------------------------
 

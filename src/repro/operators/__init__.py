@@ -10,8 +10,6 @@ from .base import BinaryOperator, Operator, OperatorStats
 from .composition import GAMMA_OPERATORS, StreamComposition, normalized_difference
 from .delivery import CollectingSink, DeliveredFrame, Delivery
 from .macros import (
-    band_difference,
-    band_ratio,
     evi2,
     ndvi,
     reflectance,
@@ -59,8 +57,6 @@ __all__ = [
     "ndvi",
     "evi2",
     "reflectance",
-    "band_difference",
-    "band_ratio",
     "spatio_temporal_aggregate",
     "FrameSubsampler",
     "AdaptiveLoadShedder",

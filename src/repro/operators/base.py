@@ -109,12 +109,6 @@ class Operator:
 
     name = "operator"
 
-    # Plan identity stamped by the lowering layer so obs ledgers can key
-    # pull-path work by subplan fingerprint (see repro.plan.lower._stamp).
-    plan_fingerprint: str | None = None
-    plan_label: str | None = None
-    plan_kind: str | None = None
-
     def __init__(self) -> None:
         self.stats = OperatorStats()
 
@@ -142,10 +136,11 @@ class Operator:
         """Feed a block of chunks; return every output chunk, in order.
 
         Equivalent to concatenating :meth:`process` over the block — same
-        outputs, same stats — but driven as one call so the block
-        executor skips per-chunk generator setup. Operators may override
-        this to vectorize *across* chunk boundaries; overrides must keep
-        the equivalence bit-exact (tests/test_columnar_differential.py).
+        outputs, same stats — but driven as one call so a stage fed a
+        block (``Stage.feed_many``) skips per-chunk generator setup.
+        Operators may override this to vectorize *across* chunk
+        boundaries; overrides must keep the equivalence bit-exact
+        (tests/test_columnar_differential.py).
         """
         stats = self.stats
         step = self._process
@@ -186,10 +181,6 @@ class BinaryOperator:
 
     name = "binary-operator"
     SIDES = ("left", "right")
-
-    plan_fingerprint: str | None = None
-    plan_label: str | None = None
-    plan_kind: str | None = None
 
     def __init__(self) -> None:
         self.stats = OperatorStats()

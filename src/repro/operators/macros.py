@@ -31,8 +31,6 @@ __all__ = [
     "reflectance",
     "ndvi",
     "evi2",
-    "band_difference",
-    "band_ratio",
     "spatio_temporal_aggregate",
 ]
 
@@ -86,14 +84,6 @@ def evi2(
     return _compose_streams(nir, vis, op)
 
 
-def band_difference(
-    a: GeoStream, b: GeoStream, timestamp_policy: str | None = None
-) -> GeoStream:
-    """Plain band difference a - b (e.g. split-window moisture proxies)."""
-    policy = timestamp_policy or a.metadata.timestamp_policy
-    return _compose_streams(a, b, StreamComposition("-", timestamp_policy=policy))
-
-
 def spatio_temporal_aggregate(
     stream: GeoStream,
     spatial_k: int,
@@ -113,11 +103,3 @@ def spatio_temporal_aggregate(
     from .spatial_transform import Coarsen
 
     return stream.pipe(Coarsen(spatial_k), TemporalAggregate(window, func, mode))
-
-
-def band_ratio(
-    a: GeoStream, b: GeoStream, timestamp_policy: str | None = None
-) -> GeoStream:
-    """Band ratio a / b (NaN where b vanishes)."""
-    policy = timestamp_policy or a.metadata.timestamp_policy
-    return _compose_streams(a, b, StreamComposition("/", timestamp_policy=policy))

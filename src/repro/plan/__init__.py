@@ -1,16 +1,17 @@
-"""Physical plans shared by the pull and push execution paths.
+"""Physical plans and the one executor that runs them.
 
 Layering: the query layer parses *logical* trees (``repro.query.ast``);
 :func:`compile_query` is the one step from such a tree to a plan. It
 optimizes, then :func:`canonicalize` rewrites the result into canonical
 form — the same AST, with restrictions folded, commutative operands
 ordered, regions resolved and one composition policy recorded — and that
-tree is the physical plan, with its routing rectangles read off it. Either
-execution path then turns it into
-running machinery through the one operator table (:func:`make_operator`):
-pull via :func:`plan_to_stream` (chained lazy generators) or push via
-:class:`PlanDAG` (a shared operator DAG the DSMS feeds chunk-by-chunk,
-with subplan-level sharing across queries keyed by node fingerprint).
+tree is the physical plan, with its routing rectangles read off it.
+:class:`PlanDAG` turns plans into running machinery through the one
+operator table (:func:`make_operator`): one operator DAG with
+subplan-level sharing keyed by node fingerprint, which the DSMS feeds
+chunk by chunk for every registered query, and which
+:func:`plan_to_stream` wires privately for one query, returning the
+GeoStream it delivers.
 """
 
 from .canonical import COMMUTATIVE_GAMMAS, canonicalize, source_ids

@@ -1,7 +1,7 @@
 """The one compile step: query AST → optimized tree → canonical plan → routes.
 
 Every path that turns a query into a plan (DSMS registration and
-re-planning, ``repro query``/``replay``/``explain``, the pull planner and
+re-planning, ``repro query``/``replay``/``explain``, ``plan_query`` and
 the analyzer) calls :func:`compile_query`, so the timestamp policy, the
 restriction folds and the routing rectangles are decided once. The one
 policy rule: the sources' common policy when they all agree, ``"sector"``

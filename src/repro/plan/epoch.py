@@ -21,12 +21,13 @@ provenance can be matched against exactly one epoch's stage set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..core.chunk import Chunk
 from ..errors import PlanError
 from ..obs.registry import get_registry, metrics_enabled
 from ..obs.timeline import current_journal
+from ..operators.base import BinaryOperator, Operator
 from ..query import ast as q
 from .ops import make_operator
 
@@ -36,6 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["EpochTransition", "PlanEpoch", "EpochSwapResult"]
 
 _Sink = Callable[[Chunk], None]
+
+
+def _source_of(plan: q.QueryNode) -> str | None:
+    return plan.stream_id if isinstance(plan, q.StreamRef) else None
 
 
 @dataclass(frozen=True)
@@ -95,11 +100,42 @@ class EpochTransition:
         self._check_open(build=True)
         stages: list["Stage"] = []
         top = self._build(plan, stages)
-        self._wire_terminal(top, plan, sink)
-        for stage in stages:
-            stage.subscribers.add(self.root_id)
+        self._wire_terminal(top, _source_of(plan), sink)
+        self._subscribe(stages)
         self._plan = plan
-        self._stages = stages
+        return stages
+
+    def install_operators(
+        self,
+        operators: Sequence[Operator | BinaryOperator],
+        inputs: Sequence[str],
+        sink: _Sink,
+    ) -> list["Stage"]:
+        """Wire a first epoch of hand-built operators, chained in order.
+
+        The first operator reads the sources ``inputs`` (one per input
+        side); each next one reads the one before. The stages have no
+        plan node, so nothing is shared with them.
+        """
+        from .stages import Edge, Stage
+
+        self._check_open(build=True)
+        dag = self.dag
+        stages: list["Stage"] = []
+        for op in operators:
+            stage = Stage(None, op, dag)
+            if stages:
+                stages[-1].outputs.append(Edge(stage=stage))
+            else:
+                sides: tuple[str | None, ...] = (
+                    op.SIDES if isinstance(op, BinaryOperator) else (None,)
+                )
+                for side, source in zip(sides, inputs):
+                    dag.taps.setdefault(source, []).append(Edge(stage=stage, side=side))
+            dag.order.append(stage)
+            stages.append(stage)
+        self._wire_terminal(stages[-1] if stages else None, inputs[0], sink)
+        self._subscribe(stages)
         return stages
 
     def swap(
@@ -117,8 +153,7 @@ class EpochTransition:
         old_fps = {s.node.fingerprint for s in old_stages}
         new_stages: list["Stage"] = []
         top = self._build(new_plan, new_stages)
-        for stage in new_stages:
-            stage.subscribers.add(self.root_id)
+        self._subscribe(new_stages)
         new_ids = {id(s) for s in new_stages}
         old_only = [s for s in old_stages if id(s) not in new_ids]
         # Old terminal out first, new terminal in last: a grafted old top
@@ -127,10 +162,9 @@ class EpochTransition:
         self._unwire_terminal(old_stages, sink)
         self._unsubscribe(old_only)
         retired = self._prune_dead(old_only)
-        self._wire_terminal(top, new_plan, sink)
+        self._wire_terminal(top, _source_of(new_plan), sink)
         new_fps = {s.node.fingerprint for s in new_stages}
         self._plan = new_plan
-        self._stages = new_stages
         if metrics_enabled():
             get_registry().counter("repro_plan_epoch_swaps_total").inc()
         return EpochSwapResult(
@@ -190,7 +224,9 @@ class EpochTransition:
             root_id=self.root_id,
             epoch=self.new_epoch,
             plan=self._plan,
-            fingerprints=frozenset(s.node.fingerprint for s in self._stages),
+            fingerprints=frozenset(
+                s._node.fingerprint for s in self._stages if s._node is not None
+            ),
             reason=self.reason,
         )
         dag.epoch_of[self.root_id] = self.new_epoch
@@ -209,13 +245,20 @@ class EpochTransition:
             # into a drained network is not.
             raise PlanError("push network already flushed")
 
-    def _wire_terminal(self, top: "Stage | None", plan: q.QueryNode, sink: _Sink) -> None:
+    def _subscribe(self, stages: list["Stage"]) -> None:
+        """Subscribe the root to ``stages``; they are this epoch's stage set."""
+        for stage in stages:
+            stage.subscribers.add(self.root_id)
+        self._stages = stages
+
+    def _wire_terminal(self, top: "Stage | None", source: str | None, sink: _Sink) -> None:
+        """Deliver ``top``'s output to ``sink``; with no stage, ``source``'s."""
         from .stages import Edge
 
         terminal = Edge(sink=sink, roots={self.root_id})
         if top is None:  # bare source scan (or provably empty query)
-            if isinstance(plan, q.StreamRef):
-                self.dag.taps.setdefault(plan.stream_id, []).append(terminal)
+            if source is not None:
+                self.dag.taps.setdefault(source, []).append(terminal)
         else:
             top.outputs.append(terminal)
 

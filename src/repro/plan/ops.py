@@ -1,8 +1,9 @@
 """The one operator table: canonical plan node → fresh physical operator.
 
-Both lowerings (pull :func:`~repro.plan.lower.plan_to_stream` and the
-push :class:`~repro.plan.stages.PlanDAG`) build every operator through
-:func:`make_operator`, so no node kind is constructed in two places.
+The plan DAG (:class:`~repro.plan.stages.PlanDAG`, which the DSMS and
+:func:`~repro.plan.lower.plan_to_stream` both wire) builds every operator
+through :func:`make_operator`, so no node kind is constructed in two
+places.
 """
 
 from __future__ import annotations

@@ -11,27 +11,73 @@ Refcounting is by subscriber: each stage remembers the root (query) ids
 subscribed to it, chunks are only propagated along edges some *active*
 subscriber is downstream of, and removing a query prunes exactly the
 stages nobody else needs.
+
+It is the one executor: the DSMS feeds one DAG with every registered
+query, and :func:`~repro.plan.lower.plan_to_stream`, ``GeoStream.pipe``
+and ``compose_streams`` each wire a private one
+(:func:`repro.engine.pipeline.dag_stream`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..core.chunk import Chunk
-from ..engine.pipeline import run_step
 from ..errors import PlanError
 from ..faults.recovery import current_recovery
-from ..obs.probe import Instruments, StageProbe, current
+from ..obs.probe import Instruments, StageProbe, current, now
 from ..operators.base import BinaryOperator, Operator
 from ..query import ast as q
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (circular with .epoch)
+    from ..faults.recovery import RecoveryContext
     from .epoch import EpochSwapResult, PlanEpoch
 
 __all__ = ["PlanDAG", "Stage", "PlanStats"]
 
 _Sink = Callable[[Chunk], None]
+
+
+def _call(
+    op: Operator | BinaryOperator,
+    chunk: Chunk | None,
+    side: str | None,
+    ctx: "RecoveryContext | None",
+) -> Iterable[Chunk]:
+    """One bare operator call: ``chunk`` None is the flush, ``side`` a binary input.
+
+    Under a recovery context (degrade-gracefully mode) a chunk the
+    operator cannot process is quarantined to the dead-letter sink
+    instead of killing the pipeline.
+    """
+    if ctx is not None:
+        return ctx.guard_flush(op) if chunk is None else ctx.guard(op, chunk, side)
+    if chunk is None:
+        return op.flush()
+    return op.process_side(side, chunk) if side is not None else op.process(chunk)
+
+
+def run_step(
+    op: Operator | BinaryOperator,
+    chunk: Chunk | None,
+    side: str | None,
+    ctx: "RecoveryContext | None",
+    probe: StageProbe | None,
+) -> Iterable[Chunk]:
+    """The one operator step a stage takes.
+
+    With no probe (nothing installed), or a chunk the probe does not
+    observe, this is the bare call. Otherwise the outputs are
+    materialized inside the timed section — so it covers only this
+    operator's work, not downstream consumers — and accounted once
+    through :meth:`StageProbe.record`.
+    """
+    if probe is None or not probe.observes(chunk):
+        return _call(op, chunk, side, ctx)
+    t0 = now()
+    outs = list(_call(op, chunk, side, ctx))
+    return probe.record(chunk, outs, t0, now())
 
 
 @dataclass
@@ -77,12 +123,19 @@ class Edge:
 
 
 class Stage:
-    """One physical operator, shared by every query whose plan contains it."""
+    """One physical operator, shared by every query whose plan contains it.
 
-    __slots__ = ("node", "op", "outputs", "subscribers", "epochs", "_dag", "_probe")
+    A stage of a hand-built operator (``GeoStream.pipe``,
+    ``compose_streams``) has no plan node: it is never shared, and its
+    probe keys it ``pull:<name>``.
+    """
 
-    def __init__(self, node: q.QueryNode, op: Operator | BinaryOperator, dag: "PlanDAG") -> None:
-        self.node = node
+    __slots__ = ("_node", "op", "outputs", "subscribers", "epochs", "_dag", "_probe")
+
+    def __init__(
+        self, node: q.QueryNode | None, op: Operator | BinaryOperator, dag: "PlanDAG"
+    ) -> None:
+        self._node = node
         self.op = op
         self.outputs: list[Edge] = []
         self.subscribers: set[int] = set()
@@ -104,7 +157,7 @@ class Stage:
         """
         probe = self._probe
         if probe is None:
-            probe = self._probe = StageProbe(self.op, self.node)
+            probe = self._probe = StageProbe(self.op, self._node)
         if probe.ins is not ins:
             probe.bind(ins)
         if probe.span is None and ins.tracer is not None:
@@ -129,6 +182,13 @@ class Stage:
         for out in list(run_step(self.op, chunk, side, current_recovery(), probe)):
             self._emit(out)
 
+    @property
+    def node(self) -> q.QueryNode:
+        """The plan node this stage's operator was built from."""
+        if self._node is None:
+            raise PlanError(f"the stage of hand-built {self.op!r} has no plan node")
+        return self._node
+
     def feed(self, chunk: Chunk, side: str | None = None) -> None:
         dag = self._dag
         dag.stats.stage_executions += 1
@@ -139,6 +199,32 @@ class Stage:
                 # This one execution stands in for `overlap` per-query ones.
                 dag.stats.chunks_saved += overlap - 1
         self._step(chunk, side)
+
+    def feed_many(self, chunks: list[Chunk]) -> None:
+        """Feed a block of chunks to this unary stage and the stages below it.
+
+        A bare step (no probe observing, no recovery context) runs the
+        whole block through one ``process_many`` call and hands the
+        outputs on as one block; otherwise each chunk takes :meth:`feed`,
+        so stats, traces and dead-lettering stay per chunk. Outputs and
+        operator stats are the same either way. Every output edge is
+        taken (there is no routing set), and a consumer sees the block's
+        outputs before any later chunk's, so only a chain of unary stages
+        keeps the per-chunk order.
+        """
+        if current().steps or current_recovery() is not None:
+            for chunk in chunks:
+                self.feed(chunk)
+            return
+        self._dag.stats.stage_executions += len(chunks)
+        outs = self.op.process_many(chunks)  # type: ignore[union-attr]
+        if outs:
+            for edge in self.outputs:
+                if edge.stage is not None:
+                    edge.stage.feed_many(outs)
+                else:
+                    for out in outs:
+                        edge.deliver(out)
 
     def _emit(self, chunk: Chunk) -> None:
         active = self._dag._active
@@ -206,6 +292,25 @@ class PlanDAG:
         transition.commit()
         return result
 
+    def add_operators(
+        self,
+        operators: Sequence[Operator | BinaryOperator],
+        inputs: Sequence[str],
+        sink: _Sink,
+        root_id: int,
+    ) -> list[Stage]:
+        """Wire hand-built operators as one query's chain of stages.
+
+        The first operator reads the sources ``inputs`` (one per input
+        side), each next one the one before; the last delivers to ``sink``.
+        """
+        from .epoch import EpochTransition
+
+        transition = EpochTransition(self, root_id, reason="register")
+        stages = transition.install_operators(operators, inputs, sink)
+        transition.commit()
+        return stages
+
     def remove_plan(self, root_id: int, stages: Iterable[Stage]) -> None:
         """Drop one query: unsubscribe, then prune stages nobody needs."""
         from .epoch import EpochTransition
@@ -246,6 +351,17 @@ class PlanDAG:
         finally:
             self._active = None
 
+    def feed_many(self, stream_id: str, chunks: list[Chunk]) -> None:
+        """Push a block of one source's chunks (see :meth:`Stage.feed_many`)."""
+        if self._flushed:
+            raise PlanError("push network already flushed")
+        for edge in self.taps.get(stream_id, ()):
+            if edge.stage is not None:
+                edge.stage.feed_many(chunks)
+            else:
+                for chunk in chunks:
+                    edge.deliver(chunk)
+
     def flush(self) -> None:
         """End of input: drain every stage, producers before consumers."""
         if self._flushed:
@@ -255,8 +371,10 @@ class PlanDAG:
             stage.flush()
 
     def reset(self) -> None:
+        """Fresh operator state and probes, for a run over the same wiring."""
         for stage in self.order:
             stage.op.reset()
+            stage._probe = None
         self._flushed = False
 
     def operators(self) -> list[Operator | BinaryOperator]:

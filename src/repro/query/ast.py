@@ -6,7 +6,7 @@ closure property "allows the formulation of complex queries ... and also
 provides a basis for query optimization techniques, such as query
 rewriting" (Section 3). The optimizer rewrites these trees, and
 :func:`repro.plan.canonicalize` returns the same kind of tree in canonical
-form, which *is* the physical plan both executors lower.
+form, which *is* the physical plan the plan DAG runs.
 
 Nodes are immutable; rewriting produces new trees via ``with_children``.
 Each node exposes a cached structural ``fingerprint`` so that equal
@@ -42,7 +42,6 @@ __all__ = [
     "TemporalAgg",
     "RegionAgg",
     "walk",
-    "count_nodes",
 ]
 
 # The payload tags of the two leaves are the names they carried when the
@@ -353,7 +352,3 @@ def post_order(node: QueryNode) -> Iterator[QueryNode]:
     for child in node.children:
         yield from post_order(child)
     yield node
-
-
-def count_nodes(node: QueryNode) -> int:
-    return sum(1 for _ in walk(node))

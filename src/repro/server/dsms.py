@@ -838,7 +838,7 @@ class DSMSServer:
         """OperatorReports for every physical stage of the shared DAG.
 
         The push-network analogue of ``engine.pipeline_report``: call after
-        ``run()`` to get the same per-operator cost table the pull path
+        ``run()`` to get the same per-operator cost table ``pipeline_report``
         prints (and that ``obs.collect_run`` serializes). Shared stages
         appear once, however many queries subscribe to them.
         """

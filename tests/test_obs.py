@@ -242,28 +242,27 @@ class TestTracing:
         with obs.observe(trace=True) as ob:
             out = small_imager.stream("vis").pipe(op1, op2)
             out.count_points()
-        spans = ob.tracer.to_dicts()
+        # Lineage in dataflow order: op1 is the root and feeds op2.
+        spans = obs.normalize_spans(ob.tracer.to_dicts())
         assert [s["name"] for s in spans] == ["value-transform", "value-transform"]
-        assert spans[0]["parent_id"] is None
-        assert spans[1]["parent_id"] == spans[0]["span_id"]
+        first, second = ({s["attrs"]["op"]: s for s in spans}[repr(op)] for op in (op1, op2))
+        assert first["parent_id"] is None
+        assert second["parent_id"] == first["span_id"]
         # Span throughput agrees with the operators' own cost accounting.
-        assert spans[0]["points_in"] == op1.stats.points_in
-        assert spans[1]["chunks_out"] == op2.stats.chunks_out
+        assert first["points_in"] == op1.stats.points_in
+        assert second["chunks_out"] == op2.stats.chunks_out
         assert all(s["wall_time_s"] > 0 and s["finished"] for s in spans)
 
-    def test_compose_span_links_both_inputs(self, small_imager):
-        from repro.engine import compose_streams
-        from repro.operators import StreamComposition
+    def test_compose_span_links_both_inputs(self, catalog):
+        from repro.query import parse_query, plan_query
 
+        query = "rescale(goes.nir, 1.0, 0.0) - rescale(goes.vis, 1.0, 0.0)"
         with obs.observe(trace=True) as ob:
-            vis = small_imager.stream("vis").pipe(Rescale(1.0))
-            nir = small_imager.stream("nir").pipe(Rescale(1.0))
-            combined = compose_streams(nir, vis, StreamComposition("-"))
-            combined.count_points()
-        spans = {s["span_id"]: s for s in ob.tracer.to_dicts()}
+            plan_query(parse_query(query), catalog.get).count_points()
+        spans = {s["span_id"]: s for s in obs.normalize_spans(ob.tracer.to_dicts())}
         comp = next(s for s in spans.values() if s["name"] == "composition")
-        assert comp["parent_id"] in spans
-        assert len(comp["attrs"]["inputs"]) == 2
+        inputs = [comp["parent_id"], *comp["attrs"]["extra_parents"]]
+        assert sorted(spans[i]["name"] for i in inputs) == ["value-transform"] * 2
         assert comp["points_out"] > 0
 
     def test_spans_carry_stream_time(self, small_imager):

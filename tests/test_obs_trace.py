@@ -373,14 +373,18 @@ class TestSpanDirectionNormalization:
         # The raw dicts were not mutated.
         assert producer["direction"] == "consumer"
 
-    def test_pull_spans_pass_through_unchanged(self, small_imager):
+    def test_pipe_spans_normalize_to_dataflow_order(self, small_imager):
         from repro.operators import Rescale
 
+        first, second = Rescale(2.0), Rescale(0.5)
         with obs.observe(trace=True) as ob:
-            small_imager.stream("vis").pipe(Rescale(2.0), Rescale(0.5)).count_points()
+            small_imager.stream("vis").pipe(first, second).count_points()
         raw = ob.tracer.to_dicts()
-        assert all(s["direction"] == "dataflow" for s in raw)
-        assert obs.normalize_spans(raw) == raw
+        # A piped stream runs on a plan DAG: stage spans parent on consumers.
+        assert all(s["direction"] == "consumer" for s in raw)
+        by_op = {s["attrs"]["op"]: s for s in obs.normalize_spans(raw)}
+        assert by_op[repr(first)]["parent_id"] is None
+        assert by_op[repr(second)]["parent_id"] == by_op[repr(first)]["span_id"]
 
     def test_collect_run_exports_normalized_spans(self, catalog):
         with obs.observe(trace=True) as ob:

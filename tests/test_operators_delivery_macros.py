@@ -8,8 +8,6 @@ from repro.ingest import GOESImager, LidarScanner, western_us_sector
 from repro.operators import (
     CollectingSink,
     Delivery,
-    band_difference,
-    band_ratio,
     evi2,
     ndvi,
     reflectance,
@@ -127,18 +125,6 @@ class TestMacros:
         finite = out.values[np.isfinite(out.values)]
         assert np.abs(finite).max() <= 2.5
         assert out.band == "evi2"
-
-    def test_band_ratio(self, scene, geos_crs):
-        imager = make_imager(scene, geos_crs)
-        nir_r = reflectance(imager.stream("nir"))
-        vis_r = reflectance(imager.stream("vis"))
-        out = band_ratio(nir_r, vis_r).collect_frames()[0]
-        n = nir_r.collect_frames()[0].values
-        v = vis_r.collect_frames()[0].values
-        with np.errstate(divide="ignore", invalid="ignore"):
-            expected = n / v
-        good = np.isfinite(expected)
-        np.testing.assert_allclose(out.values[good], expected[good], rtol=1e-5)
 
     def test_reflectance_calibration(self, scene, geos_crs):
         imager = make_imager(scene, geos_crs)
