@@ -9,7 +9,7 @@ like NDVI (whose values live in [-1, 1]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -51,35 +51,38 @@ class ValueSet:
     channels: int = 1
     lo: Optional[float] = None
     hi: Optional[float] = None
+    # Classification, fixed at construction so ``coerce`` only computes.
+    # ``bounds`` are the effective bounds, falling back to the dtype's
+    # representable range; ``_clips`` says whether either one is finite.
+    is_integer: bool = field(init=False, repr=False, compare=False)
+    bounds: tuple[float, float] = field(init=False, repr=False, compare=False)
+    _clips: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dtype", np.dtype(self.dtype))
+        dtype = np.dtype(self.dtype)
+        object.__setattr__(self, "dtype", dtype)
         if self.channels < 1:
             raise ValueSetError(f"value set {self.name!r}: channels must be >= 1")
         if self.lo is not None and self.hi is not None and self.lo > self.hi:
             raise ValueSetError(f"value set {self.name!r}: lo > hi")
-
-    # -- classification ---------------------------------------------------
-
-    @property
-    def is_integer(self) -> bool:
-        return np.issubdtype(self.dtype, np.integer)
-
-    @property
-    def is_vector(self) -> bool:
-        return self.channels > 1
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        """Effective bounds, falling back to the dtype's representable range."""
-        if self.is_integer:
-            info = np.iinfo(self.dtype)
+        is_integer = bool(np.issubdtype(dtype, np.integer))
+        if is_integer:
+            info = np.iinfo(dtype)
             lo = info.min if self.lo is None else self.lo
             hi = info.max if self.hi is None else self.hi
         else:
             lo = -np.inf if self.lo is None else self.lo
             hi = np.inf if self.hi is None else self.hi
-        return float(lo), float(hi)
+        bounds = (float(lo), float(hi))
+        object.__setattr__(self, "is_integer", is_integer)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "_clips", bool(np.isfinite(bounds[0]) or np.isfinite(bounds[1])))
+
+    # -- classification ---------------------------------------------------
+
+    @property
+    def is_vector(self) -> bool:
+        return self.channels > 1
 
     # -- membership & coercion ---------------------------------------------
 
@@ -104,12 +107,11 @@ class ValueSet:
                 f"value set {self.name!r} expects {self.channels}-channel values, "
                 f"got array of shape {arr.shape}"
             )
-        lo, hi = self.bounds
         out = arr.astype(np.float64, copy=True)
-        if np.isfinite(lo) or np.isfinite(hi):
-            out = np.clip(out, lo, hi)
+        if self._clips:
+            np.clip(out, *self.bounds, out=out)
         if self.is_integer:
-            out = np.rint(out)
+            np.rint(out, out=out)
         return out.astype(self.dtype)
 
     def validate(self, values: np.ndarray, context: str = "values") -> np.ndarray:

@@ -90,6 +90,8 @@ class CRS:
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, CRS):
             return NotImplemented
         return self.projection == other.projection and self.ellipsoid == other.ellipsoid

@@ -21,22 +21,28 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace as dc_replace
-from typing import Deque, Iterable, Mapping
+from typing import Deque, Iterable, Mapping, Union
 
 import numpy as np
 
 from ..core.chunk import Chunk, GridChunk, PointChunk
+from ..core.columnar import ROW_MEMO_MAX, Memo
 from ..core.image import RasterImage, assemble_frames
+from ..core.lattice import GridLattice
 from ..core.metadata import FrameInfo
 from ..core.stream import Organization, StreamMetadata
 from ..core.valueset import FLOAT32
 from ..errors import OperatorError
-from ..geo.region import Region
+from ..geo.region import BoundingBox, Region
 from .base import Operator
 
 __all__ = ["TemporalAggregate", "RegionAggregate", "AGGREGATE_FUNCS"]
 
 AGGREGATE_FUNCS = ("mean", "min", "max", "sum", "count")
+
+# Which points of a chunk a region holds: (row slice, column slice) or a mask.
+_Index = Union[tuple[slice, slice], np.ndarray]
+_Selection = tuple[tuple[str, _Index], ...]
 
 
 def _reduce_stack(stack: np.ndarray, func: str) -> np.ndarray:
@@ -195,6 +201,12 @@ class RegionAggregate(Operator):
         self._sector: int | None = None
         self._band = ""
         self._crs = None
+        # Per-lattice selection of every region, a pure function of
+        # (regions, lattice): row-by-row streams repeat the same row
+        # lattice every frame. Not cleared in _reset_state.
+        self._selection: Memo[GridLattice, _Selection] = Memo(
+            self._compute_selection, ROW_MEMO_MAX
+        )
 
     def _reset_state(self) -> None:
         self._acc = {}
@@ -255,22 +267,52 @@ class RegionAggregate(Operator):
         self._acc = {}
         self._frame_id = None
 
+    def _compute_selection(self, lattice: GridLattice) -> _Selection:
+        """(name, index) for every region holding a point of ``lattice``.
+
+        On a grid x depends only on the column and y only on the row, and
+        both are monotone, so a box selects one contiguous row range times
+        one contiguous column range: its index is a pair of slices. Any
+        other region keeps a boolean mask. Lattice equality includes the
+        CRS, so checking it here, on a miss, checks every chunk.
+        """
+        for region in self.regions.values():
+            region.crs.require_same(lattice.crs, "region aggregation")
+        xs, ys = lattice.xs(), lattice.ys()
+        selection: list[tuple[str, _Index]] = []
+        for name, region in self.regions.items():
+            if isinstance(region, BoundingBox):
+                cols = np.flatnonzero((xs >= region.xmin) & (xs <= region.xmax))
+                rows = np.flatnonzero((ys >= region.ymin) & (ys <= region.ymax))
+                if cols.size and rows.size:
+                    rows_cols = (
+                        slice(int(rows[0]), int(rows[-1]) + 1),
+                        slice(int(cols[0]), int(cols[-1]) + 1),
+                    )
+                    selection.append((name, rows_cols))
+            else:
+                keep = region.mask(*lattice.meshgrid())
+                if np.any(keep):
+                    selection.append((name, keep))
+        return tuple(selection)
+
     def _process(self, chunk: Chunk) -> Iterable[Chunk]:
         if isinstance(chunk, PointChunk):
-            x, y, values = chunk.x, chunk.y, np.asarray(chunk.values, dtype=float)
+            for region in self.regions.values():
+                region.crs.require_same(chunk.crs, "region aggregation")
+            selection: _Selection = tuple(
+                (name, region.mask(chunk.x, chunk.y)) for name, region in self.regions.items()
+            )
             crs = chunk.crs
             frame_id = chunk.sector
             t = float(chunk.t[-1]) if chunk.t.size else 0.0
             last = False
         else:
-            x, y = chunk.flat_coords()
-            values = chunk.values.astype(float).ravel()
+            selection = self._selection[chunk.lattice]
             crs = chunk.lattice.crs
             frame_id = chunk.frame.frame_id if chunk.frame is not None else None
             t = chunk.t
             last = chunk.last_in_frame
-        for region in self.regions.values():
-            region.crs.require_same(crs, "region aggregation")
         if self._frame_id is not None and frame_id != self._frame_id and self._acc:
             yield from self._emit_frame()
         self._frame_id = frame_id
@@ -278,10 +320,10 @@ class RegionAggregate(Operator):
         self._sector = chunk.sector
         self._band = chunk.band
         self._crs = crs
-        for name, region in self.regions.items():
-            mask = region.mask(x, y)
-            if np.any(mask):
-                self._accumulate(name, values[mask])
+        # Select first, then cast: the same elements in the same row-major
+        # order as casting the whole chunk, so every sum is bit-identical.
+        for name, index in selection:
+            self._accumulate(name, chunk.values[index].astype(np.float64))
         if last:
             yield from self._emit_frame()
 

@@ -83,6 +83,9 @@ class SpatialRestriction(Operator):
     def _compute_crop_window(
         self, lattice: GridLattice
     ) -> tuple[int, int, int, int, GridLattice] | None:
+        # Lattice equality includes the CRS, so checking it on a miss
+        # checks every chunk.
+        self._check_crs(lattice.crs)
         window = lattice.intersect_window(self.region.bounding_box)
         if window is None:
             return None
@@ -114,7 +117,6 @@ class SpatialRestriction(Operator):
                 yield chunk.select(keep)
             return
 
-        self._check_crs(chunk.lattice.crs)
         crop = self._crop_window[chunk.lattice]
         if crop is None:
             return

@@ -112,8 +112,8 @@ class Edge:
 
     def accepts(self, active: frozenset[int]) -> bool:
         if self.stage is not None:
-            return bool(active & self.stage.subscribers)
-        return bool(active & self.roots)
+            return not active.isdisjoint(self.stage.subscribers)
+        return not active.isdisjoint(self.roots)
 
     def deliver(self, chunk: Chunk) -> None:
         if self.stage is not None:

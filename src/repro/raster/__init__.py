@@ -1,6 +1,5 @@
-"""Raster utilities: interpolation, streaming stats, stretches, PNG codec."""
+"""Raster utilities: interpolation, stretches, PNG codec."""
 
-from .histogram import StreamingHistogram, StreamingMinMax
 from .interpolate import (
     KERNEL_FOOTPRINT,
     block_reduce,
@@ -16,12 +15,9 @@ from .stretch import (
     gaussian_stretch,
     histogram_equalize,
     linear_stretch,
-    percentile_stretch,
 )
 
 __all__ = [
-    "StreamingHistogram",
-    "StreamingMinMax",
     "KERNEL_FOOTPRINT",
     "block_reduce",
     "sample",
@@ -32,7 +28,6 @@ __all__ = [
     "encode_png",
     "encode_image",
     "linear_stretch",
-    "percentile_stretch",
     "histogram_equalize",
     "gaussian_stretch",
     "erf",

@@ -20,7 +20,6 @@ from ..errors import OperatorError
 
 __all__ = [
     "linear_stretch",
-    "percentile_stretch",
     "histogram_equalize",
     "gaussian_stretch",
     "erf",
@@ -42,22 +41,6 @@ def linear_stretch(
         return np.full(values.shape, (out_lo + out_hi) / 2.0)
     scaled = (values - in_lo) / (in_hi - in_lo)
     return out_lo + np.clip(scaled, 0.0, 1.0) * (out_hi - out_lo)
-
-
-def percentile_stretch(
-    values: np.ndarray,
-    lo_pct: float = 2.0,
-    hi_pct: float = 98.0,
-    out_lo: float = 0.0,
-    out_hi: float = 255.0,
-) -> np.ndarray:
-    """Linear stretch between the given percentiles (robust to outliers)."""
-    values = np.asarray(values, dtype=float)
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        raise OperatorError("cannot stretch an all-NaN array")
-    in_lo, in_hi = np.percentile(finite, [lo_pct, hi_pct])
-    return linear_stretch(values, float(in_lo), float(in_hi), out_lo, out_hi)
 
 
 def histogram_equalize(

@@ -35,6 +35,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+from .aggregate import RegionAggregateReference
 from .composition import StreamCompositionReference
 from .reprojection import ReprojectReference
 from .restriction import SpatialRestrictionReference, ValueRestrictionReference
@@ -53,6 +54,7 @@ REFERENCES: tuple[type, ...] = (
     SpatialRestrictionReference,
     ValueRestrictionReference,
     StreamCompositionReference,
+    RegionAggregateReference,
 )
 
 _MISSING = object()

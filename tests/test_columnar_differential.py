@@ -10,6 +10,8 @@ inside ``reference_kernels()``). Four layers of evidence:
   :class:`~repro.obs.stats.StageStats` counts all match exactly;
 * each operator kernel on the pull path, fed the shared demo streams —
   output chunks and the operators' own :class:`OperatorStats` match;
+  region aggregates likewise, on row, image and point streams with
+  non-finite values;
 * oracle equivalence as a *property* — hypothesis-generated query trees
   and hypothesis-generated frames (arbitrary lattices and value domains
   from :mod:`tests.strategies`) agree on both sides;
@@ -18,6 +20,8 @@ inside ``reference_kernels()``). Four layers of evidence:
 """
 
 from __future__ import annotations
+
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -31,17 +35,22 @@ from repro.core import (
     GridChunk,
     GridLattice,
     Organization,
+    PointChunk,
     StreamMetadata,
     TimeInterval,
 )
-from repro.core.columnar import FRAME_MEMO_MAX, ROW_MEMO_MAX
+from repro.core.columnar import FRAME_MEMO_MAX, ROW_MEMO_MAX, Memo
+from repro.core.valueset import FLOAT32
 from repro.engine.pipeline import compose_streams
 from repro.faults import FAULT_KINDS, FaultSpec, harden_catalog, recovering
 from repro.geo import LATLON, BoundingBox, PolygonRegion, utm
+from repro.ingest import GOESImager, SyntheticEarth
 from repro.operators import (
+    AGGREGATE_FUNCS,
     Coarsen,
     FrameStretch,
     Magnify,
+    RegionAggregate,
     Reproject,
     Rescale,
     Rotate,
@@ -56,6 +65,7 @@ from repro.server import DSMSServer
 from tests.reference import reference_kernels
 from tests.strategies import (
     BOX,
+    SECTOR,
     SOURCES,
     frame_chunks_strategy,
     tree_strategy,
@@ -86,6 +96,21 @@ def chunk_key(chunk):
         chunk.col0,
         chunk.last_in_frame,
         chunk.frame,
+    )
+
+
+def point_key(chunk):
+    """Everything that defines an emitted point chunk, bit-exact."""
+    assert isinstance(chunk, PointChunk), f"unexpected chunk type {type(chunk)}"
+    return (
+        chunk.x.tobytes(),
+        chunk.y.tobytes(),
+        chunk.values.tobytes(),
+        str(chunk.values.dtype),
+        chunk.band,
+        chunk.t.tobytes(),
+        chunk.crs,
+        chunk.sector,
     )
 
 
@@ -163,6 +188,108 @@ class TestKernelDifferential:
         """The differential above is not vacuous: kernels do emit chunks."""
         for name, make in _KERNELS.items():
             assert VIS.pipe(*make()).collect_chunks(), name
+
+
+# -- region aggregates: the selection against the per-chunk masks ------------------
+
+
+def _goes_vis(organization):
+    imager = GOESImager(
+        scene=SyntheticEarth(seed=3),
+        sector_lattice=SECTOR,
+        n_frames=2,
+        t0=72_000.0,
+        organization=organization,
+    )
+    return imager.stream("vis")
+
+
+def _nonfinite(stream):
+    """The stream as float32 with NaN, +inf and -inf at seeded points."""
+    rng = np.random.default_rng(5)
+    specials = np.array([np.nan, np.inf, -np.inf], dtype=np.float32)
+    chunks = []
+    for chunk in stream.chunks():
+        values = chunk.values.astype(np.float32)
+        flat = values.reshape(-1)
+        picks = rng.integers(0, flat.size, size=max(1, flat.size // 6))
+        flat[picks] = rng.choice(specials, size=picks.size)
+        chunks.append(dc_replace(chunk, values=values))
+    return GeoStream.from_chunks(dc_replace(stream.metadata, value_set=FLOAT32), chunks)
+
+
+def _as_points(stream):
+    """Every grid chunk as a point chunk: the same scan, point by point."""
+    chunks = []
+    for chunk in stream.chunks():
+        x, y = chunk.flat_coords()
+        chunks.append(
+            PointChunk(
+                x=x,
+                y=y,
+                values=chunk.values.ravel(),
+                band=chunk.band,
+                t=np.full(x.size, chunk.t),
+                crs=chunk.lattice.crs,
+                sector=chunk.sector,
+            )
+        )
+    metadata = dc_replace(stream.metadata, organization=Organization.POINT_BY_POINT)
+    return GeoStream.from_chunks(metadata, chunks)
+
+
+@pytest.fixture(scope="module")
+def aggregate_streams():
+    rows = _goes_vis(Organization.ROW_BY_ROW)
+    images = _goes_vis(Organization.IMAGE_BY_IMAGE)
+    streams = {"rows": rows, "images": images, "points": _as_points(rows)}
+    for name in list(streams):
+        streams[f"{name}-nonfinite"] = _nonfinite(streams[name])
+    return streams
+
+
+def _aggregate_regions():
+    """Boxes and polygons inside, across and wholly outside the sector."""
+    w, h = BOX.width, BOX.height
+    return {
+        "inner": _sub_box(),
+        "across": _sub_box(0.5, 1.5),
+        "covering": _sub_box(-0.5, 1.5),
+        "outside": BoundingBox(BOX.xmax + w, BOX.ymin, BOX.xmax + 2 * w, BOX.ymax, BOX.crs),
+        "triangle": _triangle(),
+        "spilling": PolygonRegion(
+            [(BOX.xmin - 0.5 * w, BOX.ymin + 0.5 * h), (BOX.xmax, BOX.ymin), (BOX.xmax, BOX.ymax)],
+            crs=BOX.crs,
+        ),
+        "polygon-outside": PolygonRegion(
+            [(BOX.xmin - 2 * w, BOX.ymin), (BOX.xmin - w, BOX.ymin), (BOX.xmin - w, BOX.ymax)],
+            crs=BOX.crs,
+        ),
+    }
+
+
+class TestRegionAggregateDifferential:
+    @pytest.mark.parametrize("func", AGGREGATE_FUNCS)
+    @pytest.mark.parametrize(
+        "stream", ["rows", "images", "points", "rows-nonfinite", "images-nonfinite", "points-nonfinite"]
+    )
+    def test_bit_identical(self, aggregate_streams, stream, func):
+        source = aggregate_streams[stream]
+        with reference_kernels():
+            oracle_op = RegionAggregate(_aggregate_regions(), func)
+            oracle = source.pipe(oracle_op).collect_chunks()
+        op = RegionAggregate(_aggregate_regions(), func)
+        produced = source.pipe(op).collect_chunks()
+        assert [point_key(c) for c in oracle] == [point_key(c) for c in produced]
+        assert oracle_op.stats == op.stats
+        # Not vacuous: one record per region and frame, the regions inside
+        # the sector aggregate something and the ones outside nothing.
+        assert len(oracle) == 2
+        names = sorted(_aggregate_regions())
+        for record in oracle:
+            value = dict(zip(names, record.values.tolist()))
+            assert np.isnan(value["outside"]) and np.isnan(value["polygon-outside"])
+            assert all(np.isfinite(value[n]) for n in ("inner", "across", "covering", "triangle"))
 
 
 # -- every documented/example query through the DSMS ------------------------------
@@ -351,6 +478,29 @@ class TestBoundedMemos:
         with reference_kernels():
             oracle = [chunk_key(c) for c in stream.pipe(make()).chunks()]
         assert oracle and oracle == columnar
+
+
+    def test_region_aggregate_on_a_moving_lattice(self):
+        """More distinct lattices than ROW_MEMO_MAX: every memo the operator
+        holds stays within the bound, and the records are the reference's."""
+        regions = {
+            "box": BoundingBox(-110.0, 39.96, -90.0, 39.99, LATLON),
+            "polygon": PolygonRegion([(-121.0, 39.9), (0.0, 39.9), (-60.0, 40.1)], crs=LATLON),
+        }
+        stream = _moving_frames(ROW_MEMO_MAX + 64)
+        op = RegionAggregate(regions, "sum")
+        produced, largest = [], 0
+        for chunk in stream.chunks():
+            produced.extend(point_key(c) for c in op.process(chunk))
+            memos = [m for m in vars(op).values() if isinstance(m, Memo)]
+            largest = max([largest, *map(len, memos)])
+        produced.extend(point_key(c) for c in op.flush())
+        assert largest <= ROW_MEMO_MAX
+        with reference_kernels():
+            oracle = [
+                point_key(c) for c in stream.pipe(RegionAggregate(regions, "sum")).chunks()
+            ]
+        assert len(oracle) == ROW_MEMO_MAX + 64 and oracle == produced
 
 
 # -- chaos matrix: every fault kind, kernels vs reference -------------------------

@@ -6,14 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import OperatorError
 from repro.raster import (
-    StreamingHistogram,
-    StreamingMinMax,
     erf,
     erfinv,
     gaussian_stretch,
     histogram_equalize,
     linear_stretch,
-    percentile_stretch,
 )
 
 
@@ -38,19 +35,6 @@ class TestLinearStretch:
         values = np.sort(np.random.default_rng(0).uniform(0, 100, 50))
         out = linear_stretch(values, 0.0, 100.0)
         assert (np.diff(out) >= 0).all()
-
-
-class TestPercentileStretch:
-    def test_robust_to_outliers(self):
-        values = np.concatenate([np.linspace(0, 1, 98), [1000.0, -1000.0]])
-        out = percentile_stretch(values, 2.0, 98.0)
-        # The bulk spans nearly the full output range despite outliers.
-        bulk = out[:98]
-        assert bulk.max() - bulk.min() > 200.0
-
-    def test_all_nan_rejected(self):
-        with pytest.raises(OperatorError):
-            percentile_stretch(np.array([np.nan, np.nan]))
 
 
 class TestHistogramEqualize:
@@ -126,66 +110,3 @@ class TestGaussianStretch:
     def test_all_nan_rejected(self):
         with pytest.raises(OperatorError):
             gaussian_stretch(np.array([np.nan]))
-
-
-class TestStreamingMinMax:
-    def test_accumulates(self):
-        mm = StreamingMinMax()
-        mm.update(np.array([3.0, 5.0]))
-        mm.update(np.array([1.0, 4.0]))
-        assert mm.min == 1.0 and mm.max == 5.0 and mm.range == 4.0
-        assert mm.count == 4
-
-    def test_ignores_nan(self):
-        mm = StreamingMinMax()
-        mm.update(np.array([np.nan, 2.0]))
-        assert mm.min == 2.0 and mm.count == 1
-
-    def test_empty_raises(self):
-        mm = StreamingMinMax()
-        with pytest.raises(OperatorError):
-            _ = mm.min
-
-    def test_reset(self):
-        mm = StreamingMinMax()
-        mm.update(np.array([1.0]))
-        mm.reset()
-        assert mm.count == 0
-
-
-class TestStreamingHistogram:
-    def test_counts_and_cdf(self):
-        h = StreamingHistogram(0.0, 10.0, bins=10)
-        h.update(np.array([0.5, 1.5, 1.6, 9.9]))
-        assert h.total == 4
-        assert h.counts[0] == 1 and h.counts[1] == 2 and h.counts[9] == 1
-        cdf = h.cdf()
-        assert cdf[-1] == pytest.approx(1.0)
-        assert (np.diff(cdf) >= 0).all()
-
-    def test_out_of_range_clipped(self):
-        h = StreamingHistogram(0.0, 10.0, bins=10)
-        h.update(np.array([-5.0, 15.0]))
-        assert h.counts[0] == 1 and h.counts[-1] == 1
-
-    def test_invalid_range_rejected(self):
-        with pytest.raises(OperatorError):
-            StreamingHistogram(5.0, 5.0)
-
-    def test_empty_cdf_raises(self):
-        with pytest.raises(OperatorError):
-            StreamingHistogram(0.0, 1.0).cdf()
-
-    def test_bin_of(self):
-        h = StreamingHistogram(0.0, 10.0, bins=10)
-        np.testing.assert_array_equal(h.bin_of(np.array([0.0, 5.0, 10.0])), [0, 5, 9])
-
-    def test_incremental_equals_batch(self):
-        rng = np.random.default_rng(7)
-        values = rng.uniform(0, 100, 1000)
-        h1 = StreamingHistogram(0.0, 100.0, bins=32)
-        for part in np.array_split(values, 7):
-            h1.update(part)
-        h2 = StreamingHistogram(0.0, 100.0, bins=32)
-        h2.update(values)
-        np.testing.assert_array_equal(h1.counts, h2.counts)

@@ -40,7 +40,7 @@ def _assert_restored(before):
 
 class TestInstallAndRestore:
     def test_every_operator_with_a_kernel_has_a_reference(self):
-        assert len(REFERENCES) == 9
+        assert len(REFERENCES) == 10
         assert all(len(ref.__bases__) == 1 for ref in REFERENCES)
 
     def test_restores_every_attribute_on_normal_exit(self):

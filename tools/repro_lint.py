@@ -542,7 +542,7 @@ def _check_no_mode_switch(rel: str, tree: ast.AST) -> Iterator[Violation]:
 
 # (repo-relative path prefixes, most lines the files under them may hold together)
 LINE_BUDGETS: tuple[tuple[tuple[str, ...], int], ...] = (
-    (("src/",), 22_571),
+    (("src/",), 22_485),
     (("src/repro/server/dsms.py",), 1_026),
     (("src/repro/obs/",), 3_688),
     (("src/repro/cli.py",), 1_018),
