@@ -13,6 +13,8 @@ Run:  python examples/explain_analyze.py
 
 from __future__ import annotations
 
+import textwrap
+
 from repro import DSMSServer, GOESImager, StreamCatalog, obs
 from repro.query import CalibrationProfile
 
@@ -48,7 +50,7 @@ def main() -> None:
     for text, session in zip(QUERIES, sessions):
         frame = session.frames[-1]
         print(f"  {text}")
-        print(f"    {obs.format_lineage(frame, dag=server.plan_dag)}")
+        print(textwrap.indent(obs.format_lineage(frame, dag=server.plan_dag), "    "))
 
 
 if __name__ == "__main__":

@@ -101,6 +101,11 @@ class _Checker:
                 node,
             )
 
+    def require_arity(self, node: q.QueryNode, have: int | None, want: int | None, message: str) -> None:
+        """GS-VAL004 unless the two channel counts agree (or one is unknown)."""
+        if have is not None and want is not None and have != want:
+            self.error("GS-VAL004", f"band-arity mismatch: {message}", node)
+
     # -- the checks: each node against its output type and its inputs' types -------
 
     def check(self, tree: q.QueryNode) -> None:
@@ -258,17 +263,7 @@ class _Checker:
                 f"{right.crs.name} (right); frames cannot be matched pointwise",
                 node,
             )
-        if (
-            left.channels is not None
-            and right.channels is not None
-            and left.channels != right.channels
-        ):
-            self.error(
-                "GS-VAL004",
-                f"band-arity mismatch: left has {left.channels} channel(s), "
-                f"right has {right.channels}",
-                node,
-            )
+        self.require_arity(node, left.channels, right.channels, f"left has {left.channels} channel(s), right has {right.channels}")
         if left.bbox is not None and right.bbox is not None and out.bbox is None:
             self.unsatisfiable(
                 "GS-SAT001",
@@ -301,6 +296,7 @@ class _Checker:
 
     def _visit_regionagg(self, node: q.RegionAgg, out: StreamType, info: StreamType) -> None:
         self.require_known(node.func, _AGG_FUNCS, "aggregate function", node)
+        self.require_arity(node, info.channels, 1, f"a region aggregate reduces one channel, the stream has {info.channels}")
         for name, region in node.regions:
             reason = _unmappable(region, info)
             if reason is not None:

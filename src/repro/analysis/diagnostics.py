@@ -151,9 +151,9 @@ CODES: dict[str, CodeInfo] = dict(
             "GS-VAL004",
             "value",
             Severity.ERROR,
-            "band-arity mismatch in composition",
+            "band-arity mismatch in composition or region aggregation",
             "sup(rgb.composite, goes.vis) — 3 channels vs 1",
-            "compose streams with equal channel counts (band arity)",
+            "compose streams with equal channel counts (band arity); aggregate one channel",
         ),
         _code(
             "GS-VAL005",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Any, Union
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "fast_grid_chunk",
     "fast_replace_values",
     "fast_grid_replace",
+    "restamp",
 ]
 
 # How composition (Def. 10) matches timestamps across streams: by the
@@ -318,3 +319,10 @@ def chunk_time(chunk: Chunk) -> float:
     if isinstance(chunk, GridChunk):
         return float(chunk.t)
     return float(chunk.t[0]) if chunk.t.size else math.inf
+
+
+def restamp(chunk: Chunk, **tags: Any) -> Chunk:
+    """``chunk`` with new ``provenance`` / ``trace`` tags, not re-validated."""
+    if isinstance(chunk, GridChunk):
+        return fast_grid_replace(chunk, **tags)
+    return replace(chunk, **tags)

@@ -6,20 +6,23 @@ operators produced you". :class:`Provenance` is the compact answer: the
 set of ``(stream_id, scan_ordinal)`` source scans a chunk derives from
 and the set of plan-stage fingerprints it traversed.
 
-Tags are immutable and merge monotonically: every operator output carries
-the union of its inputs' tags plus the operator's own stage fingerprint.
-For buffering operators (frame assembly, temporal windows, composition)
-this is a sound *over*-approximation — a flushed chunk is tagged with
-every scan the operator consumed since its last emission, never fewer.
-
-Provenance is opt-in (attached only while a stats collector is
-installed, see :mod:`repro.obs.stats`) and deliberately tiny: frozensets
-of small tuples/strings, no per-point bookkeeping.
+A stage tags its outputs with its own fingerprint and the scans of the
+frame it has open (:class:`repro.obs.probe.StageProbe`); an operator
+still holding points (a window of frames, a composition side waiting
+for its partner) keeps accumulating. So every tag is a sound
+*over*-approximation, and a delivered frame, which merges its chunks'
+tags, names the scans of that frame (§3: a stream restricted to a frame
+is an image). Tags are opt-in (attached only while a stats collector is
+installed, see :mod:`repro.obs.stats`) and tiny: at most
+:data:`MAX_TRACKED_SCANS` scans, the newest by ``(ordinal, stream)``;
+``dropped_sources`` is a lower bound on the distinct older ones.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 __all__ = ["Provenance"]
 
@@ -51,15 +54,20 @@ class Provenance:
         )
 
     def merge(self, other: "Provenance | None") -> "Provenance":
-        if other is None or other == self:
+        if other is None or other is self:
             return self
         sources = self.sources | other.sources
-        dropped = self.dropped_sources + other.dropped_sources
-        if len(sources) > MAX_TRACKED_SCANS:
-            # Keep the most recent scans (highest ordinals) and count the rest.
-            kept = sorted(sources, key=lambda s: (s[1], s[0]))[-MAX_TRACKED_SCANS:]
-            dropped += len(sources) - len(kept)
-            sources = frozenset(kept)
+        dropped = max(self.dropped_sources, other.dropped_sources)
+        excess = len(sources) - MAX_TRACKED_SCANS
+        if excess > 0:
+            # Keep the newest scans by (ordinal, stream). The larger side's
+            # count of scans it no longer lists is a lower bound on the union's.
+            gone = frozenset(heapq.nsmallest(excess, sources, key=itemgetter(1, 0)))
+            sources = sources - gone
+            dropped = max(
+                self.dropped_sources + len(gone & self.sources),
+                other.dropped_sources + len(gone & other.sources),
+            )
         return Provenance(
             sources=sources,
             stages=self.stages | other.stages,
@@ -72,14 +80,3 @@ class Provenance:
 
     def scan_ordinals(self, stream_id: str) -> tuple[int, ...]:
         return tuple(sorted(o for sid, o in self.sources if sid == stream_id))
-
-    def describe(self) -> str:
-        parts = []
-        for sid in sorted(self.stream_ids):
-            ordinals = self.scan_ordinals(sid)
-            parts.append(f"{sid}[{','.join(str(o) for o in ordinals)}]")
-        if self.dropped_sources:
-            parts.append(f"(+{self.dropped_sources} earlier scans)")
-        src = " ".join(parts) or "-"
-        fps = ",".join(sorted(self.stages)) or "-"
-        return f"sources: {src}  stages: {fps}"

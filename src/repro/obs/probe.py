@@ -33,7 +33,7 @@ from dataclasses import replace as dc_replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from ..core.chunk import chunk_time
+from ..core.chunk import GridChunk, PointChunk, chunk_time, restamp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.chunk import Chunk
@@ -135,9 +135,9 @@ class StageProbe:
             self.label, self.kind = op.name, type(op).__name__
         self.ins = _IDLE
         self.span: Span | None = None
-        # Cumulative merged provenance of everything the operator has
-        # eaten; sound for buffering operators (outputs are tagged with
-        # at least the scans that could have contributed).
+        # Merged provenance of the inputs the operator can still use:
+        # the open frame's, or everything since the operator last held
+        # no points (see _open_tag).
         self.prov: Provenance | None = None
         # Trace contexts consumed since the last emission (buffering
         # operators hold inputs; their eventual outputs merge these).
@@ -221,14 +221,14 @@ class StageProbe:
                 chunks_in=chunks_in,
             )
             if stats.provenance:
-                if chunk is not None and chunk.provenance is not None:
-                    self.prov = (
-                        chunk.provenance
-                        if self.prov is None
-                        else self.prov.merge(chunk.provenance)
-                    )
-                if self.prov is not None and outs:
-                    stamp["provenance"] = self.prov.with_stage(self.key)
+                tag = chunk.provenance if chunk is not None else None
+                prov = self.prov if tag is None else tag.merge(self.prov)
+                if prov is not None:
+                    if outs:
+                        stamp["provenance"] = prov.with_stage(self.key)
+                    if self.op.stats.buffered_points == 0:
+                        prov = _open_tag(chunk, prov, outs)
+                self.prov = prov
 
         ftracer = ins.frame_tracer
         if ftracer is not None:
@@ -256,8 +256,26 @@ class StageProbe:
                     pending.append(ctx)
 
         if stamp:
-            return [dc_replace(c, **stamp) for c in outs]
+            return [restamp(c, **stamp) for c in outs]
         return outs
+
+
+def _open_tag(chunk: Chunk | None, prov: Provenance, outs: list[Chunk]) -> Provenance | None:
+    """What of ``prov`` an operator holding no points can still use after a step.
+
+    Nothing once the step ends a frame: its input or an output is a row
+    with ``last_in_frame`` (a restriction narrows it to its box) or an
+    output is an aggregate record. A region aggregate emits the previous
+    frame's record on the first chunk of the next: that chunk's tag stays.
+    """
+    if isinstance(chunk, GridChunk) and chunk.last_in_frame:
+        return None
+    for out in reversed(outs):
+        if isinstance(out, PointChunk):
+            return chunk.provenance if chunk is not None else None
+        if out.last_in_frame:
+            return None
+    return prov
 
 
 def disagreements(

@@ -159,23 +159,9 @@ class StageStats:
         return self.latencies.quantile(0.99)
 
     def to_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "label": self.label,
-            "kind": self.kind,
-            "calls": self.calls,
-            "chunks_in": self.chunks_in,
-            "chunks_out": self.chunks_out,
-            "points_in": self.points_in,
-            "points_out": self.points_out,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-            "wall_s": self.wall_s,
-            "selectivity": self.selectivity,
-            "p50_s": self.p50,
-            "p95_s": self.p95,
-            "p99_s": self.p99,
-        }
+        out = {name: getattr(self, name) for name in self.__slots__ if name != "latencies"}
+        out.update(selectivity=self.selectivity, p50_s=self.p50, p95_s=self.p95, p99_s=self.p99)
+        return out
 
     def __repr__(self) -> str:
         return (

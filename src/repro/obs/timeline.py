@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .probe import current
 from .registry import (
@@ -47,6 +47,8 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     ObservabilityError,
+    _label_key,
+    _LabelKey,
     get_registry,
 )
 
@@ -69,13 +71,6 @@ __all__ = [
     "VERDICT_DEGRADED",
     "VERDICT_UNHEALTHY",
 ]
-
-_LabelKey = tuple[tuple[str, str], ...]
-
-
-def _label_key(labels: Mapping[str, object]) -> _LabelKey:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
 
 def _quantile(values: list[float], q: float) -> float:
     """Linear-interpolated quantile of a small sample (q in [0, 1])."""

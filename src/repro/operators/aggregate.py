@@ -297,6 +297,8 @@ class RegionAggregate(Operator):
         return tuple(selection)
 
     def _process(self, chunk: Chunk) -> Iterable[Chunk]:
+        if chunk.channels != 1:
+            raise OperatorError(f"region aggregation reduces one channel, the chunk has {chunk.channels}")
         if isinstance(chunk, PointChunk):
             for region in self.regions.values():
                 region.crs.require_same(chunk.crs, "region aggregation")

@@ -120,36 +120,25 @@ class Delivery(Operator):
 
     def _ship(self, image: RasterImage) -> None:
         ftracer = current_frame_tracer() if self._pending_trace else None
+        trace: FrameTrace | None = None
         if ftracer is None:
             png = image.to_png_bytes() if self.encode else b""
-            self.sink(
-                DeliveredFrame(
-                    png,
-                    image,
-                    provenance=self._pending_prov,
-                    seq=self._next_seq(),
-                    epoch=self.epoch,
-                )
+        else:
+            t0 = perf_counter()
+            png = image.to_png_bytes() if self.encode else b""
+            t1 = perf_counter()
+            if self.epoch:
+                # One annotation per frame is enough.
+                ftracer.annotate(self._pending_trace[0], f"epoch={self.epoch}")
+            trace = ftracer.finalize_frame(
+                self.trace_query,
+                self._pending_trace,
+                frame_t=float(image.t),
+                band=image.band,
+                shape=image.shape,
+                t0=t0,
+                t1=t1,
             )
-            self._pending_prov = None
-            self._pending_trace = []
-            return
-        t0 = perf_counter()
-        png = image.to_png_bytes() if self.encode else b""
-        t1 = perf_counter()
-        if self.epoch:
-            for ctx in self._pending_trace:
-                ftracer.annotate(ctx, f"epoch={self.epoch}")
-                break  # one annotation per frame is enough
-        trace = ftracer.finalize_frame(
-            self.trace_query,
-            self._pending_trace,
-            frame_t=float(image.t),
-            band=image.band,
-            shape=image.shape,
-            t0=t0,
-            t1=t1,
-        )
         self.sink(
             DeliveredFrame(
                 png,
@@ -170,11 +159,7 @@ class Delivery(Operator):
                 "results are shipped by the server session layer instead"
             )
         if chunk.provenance is not None:
-            self._pending_prov = (
-                chunk.provenance
-                if self._pending_prov is None
-                else self._pending_prov.merge(chunk.provenance)
-            )
+            self._pending_prov = chunk.provenance.merge(self._pending_prov)
         if chunk.trace is not None:
             self._pending_trace.append(chunk.trace)
         image = self._collector.add(chunk)

@@ -11,10 +11,10 @@ contribute to — the architecture of Section 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..core.chunk import Chunk, GridChunk
+from ..core.chunk import Chunk, GridChunk, restamp
 from ..core.provenance import Provenance
 from ..engine.pipeline import chunk_time
 from ..engine.scheduler import merge_sources
@@ -990,7 +990,7 @@ class DSMSServer:
                 if collector is not None:
                     ordinal = collector.note_scan(stream_id, frame_end)
                     if collector.provenance:
-                        chunk = dc_replace(
+                        chunk = restamp(
                             chunk, provenance=Provenance.scan(stream_id, ordinal)
                         )
                 matched = router.match(stream_id, chunk)

@@ -7,6 +7,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.chunk import Chunk, PointChunk
+from repro.errors import OperatorError
 from repro.operators.aggregate import RegionAggregate
 
 
@@ -14,6 +15,8 @@ class RegionAggregateReference(RegionAggregate):
     """Coordinates, CRS check and every region's mask recomputed per chunk."""
 
     def _process(self, chunk: Chunk) -> Iterable[Chunk]:
+        if chunk.channels != 1:
+            raise OperatorError(f"region aggregation reduces one channel, the chunk has {chunk.channels}")
         if isinstance(chunk, PointChunk):
             x, y, values = chunk.x, chunk.y, np.asarray(chunk.values, dtype=float)
             crs = chunk.crs

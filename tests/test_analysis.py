@@ -9,17 +9,22 @@ on the happy path). See docs/static-analysis.md for the catalogue.
 import json
 
 import hypothesis as hyp
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from repro.analysis import StaticContext, analyze, check_dag, check_server
 from repro.analysis.diagnostics import CODES, Diagnostic, DiagnosticReport, Severity
 from repro.cli import build_demo_catalog, main
+from repro.core import GeoStream, GridChunk, GridLattice, Organization
+from repro.core.stream import StreamMetadata
+from repro.core.valueset import RGB8
 from repro.errors import QueryAnalysisError
+from repro.geo import LATLON
 from repro.obs.slo import SLOPolicy
 from repro.plan.stages import Edge
 from repro.query import ast as q
-from repro.server import DSMSServer
+from repro.server import DSMSServer, StreamCatalog
 
 from tests.strategies import region_strategy, tree_strategy
 
@@ -149,6 +154,28 @@ def test_val004_negative():
     ctx = StaticContext(known_streams=frozenset({"a", "b"}), channels={"a": 3, "b": 3})
     tree = q.Compose(q.StreamRef("a"), q.StreamRef("b"), "sup")
     assert "GS-VAL004" not in codes_of(analyze(tree, context=ctx))
+
+
+def rgb_catalog():
+    """One 3-channel (RGB8) whole-frame stream, ``rgb``."""
+    lattice = GridLattice(LATLON, x0=-124.0, y0=42.0, dx=0.1, dy=-0.1, width=6, height=8)
+    meta = StreamMetadata("rgb", "rgb", LATLON, Organization.IMAGE_BY_IMAGE, RGB8)
+    chunk = GridChunk(np.zeros(lattice.shape + (3,), np.uint8), lattice, "rgb", 0.0)
+    cat = StreamCatalog()
+    cat.register(GeoStream.from_chunks(meta, [chunk]), lattice.bbox)
+    return cat
+
+
+def test_val004_region_aggregate_of_a_vector_stream_rejected_at_registration():
+    server = DSMSServer(rgb_catalog())
+    with pytest.raises(QueryAnalysisError) as excinfo:
+        server.register_query("ragg(rgb, 'count', 'all', bbox(-124, 41.3, -123.5, 42))")
+    assert excinfo.value.report.codes() == {"GS-VAL004"}
+
+
+def test_val004_region_aggregate_negative(catalog):
+    text = "ragg(reflectance(goes.vis), 'count', 'all', bbox(-124, 38, -120, 41))"
+    assert "GS-VAL004" not in codes_of(analyze(text, catalog))
 
 
 def test_val005_vacuous_vrange(catalog):

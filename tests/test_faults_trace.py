@@ -6,7 +6,10 @@ affected chunk's frame trace with ``fault:<kind>`` and auto-pins it in
 the flight recorder, so a chaotic run always ends with a pinned capture
 of what went wrong — delivered or not (never-delivered frames surface as
 *partial* traces at run close). Tracing must not perturb the injection
-sequence: the faulted run stays bit-identical to its untraced twin.
+sequence: the faulted run stays bit-identical to its untraced twin. The
+fully observed twin's lineage stays sound when a fault drops, repeats,
+reorders or cuts off a frame's rows: a lost ``last_in_frame`` may widen
+a frame's tag, never narrow it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from tests.conftest import install_frame_tracer
 
 DAY_T0 = 72_000.0
 QUERY = "reflectance(goes.vis)"
+# Holds each frame's rows until the last: its outputs carry the frame's tag.
+FRAME_QUERY = "stretch(reflectance(goes.vis), 'linear')"
 
 if "CHAOS_SEED" in os.environ:
     SEEDS = (int(os.environ["CHAOS_SEED"]),)
@@ -52,11 +57,35 @@ def make_catalog() -> StreamCatalog:
     return catalog
 
 
-def run_hardened(spec: FaultSpec, traced: bool):
+def run_observed(spec: FaultSpec, query: str, monkeypatch):
+    """The hardened run under every instrument, with the scans it stamped.
+
+    ``scans`` maps each ``(stream, ordinal)`` source tag the DSMS handed
+    to the plan DAG to that chunk's ``(sector, row0)``.
+    """
+    scans: dict[tuple[str, int], tuple[int | None, int]] = {}
+    with obs.observe(trace=True, stats=True, frame_trace=True) as ob:
+        hardened, injector, ctx = harden_catalog(make_catalog(), spec)
+        server = DSMSServer(hardened, recovery=ctx)
+        session = server.register(query, encode_png=False)
+        feed = server.plan_dag.feed
+
+        def recording_feed(stream_id, chunk, **kwargs):
+            ((sid, ordinal),) = chunk.provenance.sources
+            scans[sid, ordinal] = (chunk.sector, chunk.row0)
+            return feed(stream_id, chunk, **kwargs)
+
+        monkeypatch.setattr(server.plan_dag, "feed", recording_feed)
+        with recovering(ctx):
+            server.run()
+    return session, injector, scans, sum(ob.stats.scans.values())
+
+
+def run_hardened(spec: FaultSpec, traced: bool, query: str = QUERY):
     ftracer = install_frame_tracer() if traced else None
     hardened, injector, ctx = harden_catalog(make_catalog(), spec)
     server = DSMSServer(hardened, recovery=ctx)
-    session = server.register(QUERY, encode_png=False)
+    session = server.register(query, encode_png=False)
     with recovering(ctx):
         server.run()
     return session, injector, ctx, ftracer
@@ -116,3 +145,23 @@ class TestChaosTraces:
         # Every annotation corresponds to a genuinely injected kind.
         assert fault_notes <= injected
         assert fault_notes, "a default-mix drill must pin annotated traces"
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("kind", ("drop", "reorder", "dup", "disconnect"))
+    def test_observed_twin_keeps_frames_and_sound_lineage(self, kind, seed, monkeypatch):
+        spec = FaultSpec.single(kind, seed=seed)
+        plain, injector_a, _, _ = run_hardened(spec, traced=False, query=FRAME_QUERY)
+        obs.install(obs.Instruments())
+        session, injector_b, scans, consumed = run_observed(spec, FRAME_QUERY, monkeypatch)
+        assert injector_a.counts == injector_b.counts and injector_b.counts[kind] > 0
+        assert len(plain.frames) == len(session.frames) > 0
+        for fa, fb in zip(plain.frames, session.frames):
+            assert fa.image.t == fb.image.t
+            assert np.array_equal(fa.image.values, fb.image.values, equal_nan=True)
+        for frame in session.frames:
+            prov = obs.lineage(frame)
+            assert len(prov.sources) + prov.dropped_sources <= consumed
+            named = {scans[s] for s in prov.sources}
+            # Every delivered row names a scan of that row (a repeat: either).
+            for row in np.flatnonzero(np.isfinite(frame.image.values).any(axis=1)):
+                assert (frame.image.sector, int(row)) in named, (kind, seed, int(row))

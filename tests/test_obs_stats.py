@@ -10,9 +10,15 @@ zero-overhead guarantee of the no-observability fast path.
 
 from __future__ import annotations
 
+from dataclasses import replace as dc_replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.cli import build_demo_catalog
+from repro.core import GeoStream
 from repro.core.provenance import MAX_TRACKED_SCANS, Provenance
 from repro.errors import PlanError, ServerError
 from repro.faults import FaultSpec, RecoveryContext, harden_catalog, recovering
@@ -22,7 +28,7 @@ from repro.obs.registry import ObservabilityError
 from repro.obs.slo import SLOMonitor, SLOPolicy
 from repro.obs.stats import Reservoir, format_lineage, lineage
 from repro.operators import AdaptiveLoadShedder
-from repro.plan import canonicalize
+from repro.plan import canonicalize, compile_query
 from repro.query import (
     CalibrationProfile,
     CalibrationSample,
@@ -35,6 +41,9 @@ from repro.server import DSMSServer, StreamCatalog
 
 from tests.conftest import DAY_T0, sector_subbox
 from tests.reference import reference_kernels
+from tests.reference.provenance import ReferenceTag
+from tests.test_examples import load_example
+from tests.test_executor_gate import clean_queries
 
 Q_VRANGE = "vrange(reflectance(goes.vis), 0.0, 0.4)"
 Q_STRETCH = "stretch(reflectance(goes.vis), 'linear')"
@@ -124,7 +133,207 @@ class TestProvenance:
         assert p.dropped_sources == 10
         kept = p.scan_ordinals("s")
         assert kept[-1] == MAX_TRACKED_SCANS + 9  # newest survive
-        assert "+" in p.describe()  # dropped count surfaced
+        assert "(+10 earlier" in format_lineage(p)  # dropped count surfaced
+
+
+RUN = st.tuples(st.sampled_from(("goes.vis", "goes.nir")), st.integers(0, 400), st.integers(1, 300))
+
+
+def chain(tag, ref, stream, ordinals):
+    """Merge one-scan tags into ``tag`` (and ``ref``), one at a time."""
+    for o in ordinals:
+        tag, ref = tag.merge(Provenance.scan(stream, o)), ref.merge(ReferenceTag.scan(stream, o))
+    return tag, ref
+
+
+class TestProvenanceReference:
+    """``merge`` against the untruncated union of tests/reference/provenance.py."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(RUN, st.booleans()), min_size=1, max_size=4),
+        merges=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=8),
+        extra=st.integers(1, 60),
+    )
+    def test_merge_lists_the_newest_of_the_union(self, runs, merges, extra):
+        """Backwards chains (newest scan first) only bound the dropped count."""
+        chains = []
+        for i, ((stream, lo, n), backwards) in enumerate(runs):
+            ordinals = range(lo + n - 1, lo - 1, -1) if backwards else range(lo, lo + n)
+            tag, ref = chain(Provenance(), ReferenceTag(), stream, ordinals)
+            chains.append((tag.with_stage(f"s{i}"), ref.with_stage(f"s{i}")))
+        for (_, backwards), (tag, ref) in zip(runs, chains):
+            # Exact along a chain in scan order, and against its own extension.
+            exact = tag.dropped_sources == ref.dropped_sources
+            assert exact or backwards
+            longer, rlonger = chain(tag, ref, "goes.vis", range(500, 500 + extra))
+            extended = tag.merge(longer).dropped_sources == ref.merge(rlonger).dropped_sources
+            assert extended or backwards
+            assert longer.merge(tag).sources == longer.sources
+        pool = list(chains)
+        for i, j in merges:
+            (a, ra), (b, rb) = pool[i % len(pool)], pool[j % len(pool)]
+            pool.append((a.merge(b), ra.merge(rb)))
+        for tag, ref in pool:
+            assert tag.sources == ref.sources
+            assert tag.stages == ref.stages
+            assert tag.dropped_sources <= ref.dropped_sources
+
+    def test_merging_an_extension_does_not_count_a_scan_twice(self):
+        p, _ = chain(Provenance(), ReferenceTag(), "s", range(MAX_TRACKED_SCANS + 10))
+        q = p.merge(Provenance.scan("s", MAX_TRACKED_SCANS + 10))
+        assert (p.dropped_sources, q.dropped_sources) == (10, 11)
+        assert p.merge(q).dropped_sources == 11  # the parent summed them: 21
+        assert p.merge(p) is p
+
+
+def source_scans(catalog):
+    """stream id -> its raw chunks in scan order (index = scan ordinal)."""
+    return {sid: list(catalog.get(sid).chunks()) for sid in catalog.ids()}
+
+
+def used_scans(scans, sid, sectors, box):
+    """Scans of ``sid`` in the frames ``sectors`` whose rows meet ``box``."""
+    return {
+        (sid, o)
+        for o, c in enumerate(scans[sid])
+        if c.sector in sectors and (box is None or c.lattice.intersect_window(box) is not None)
+    }
+
+
+class TestFrameLineage:
+    """A delivered frame's lineage names the scans of that frame (§3)."""
+
+    @staticmethod
+    def _imager_catalog(scene, geos_crs):
+        """A 3-frame 48x96 imager, its catalog, a box B inside it and B as query text."""
+        imager = GOESImager(
+            scene=scene,
+            lon_0=-135.0,
+            sector_lattice=western_us_sector(geos_crs, width=96, height=48),
+            n_frames=3,
+            bands=("vis", "nir"),
+            t0=DAY_T0,
+        )
+        catalog = StreamCatalog()
+        catalog.register_imager(imager)
+        box = sector_subbox(imager, 0.2, 0.3, 0.7, 0.6)
+        b = f"bbox({box.xmin!r}, {box.ymin!r}, {box.xmax!r}, {box.ymax!r}, crs='geos:-135')"
+        return imager, catalog, box, b
+
+    def test_each_frame_names_exactly_its_own_scans(self, scene, geos_crs):
+        _, catalog, box, b = self._imager_catalog(scene, geos_crs)
+        queries = {
+            f"within(reflectance(goes.vis), {b})": (("goes.vis",), box),
+            f"within(ndvi(reflectance(goes.nir), reflectance(goes.vis)), {b})": (
+                ("goes.nir", "goes.vis"),
+                box,
+            ),
+            Q_STRETCH: (("goes.vis",), None),
+        }
+        with obs.observe(stats=True):
+            server = DSMSServer(catalog)
+            sessions = {text: server.register(text, encode_png=False) for text in queries}
+            server.run()
+        scans = source_scans(catalog)
+        for text, (streams, region) in queries.items():
+            frames = sessions[text].frames
+            assert len(frames) == 3, text
+            for frame in frames:
+                prov = lineage(frame)
+                expected = set().union(
+                    *(used_scans(scans, sid, {frame.image.sector}, region) for sid in streams)
+                )
+                assert expected and prov.sources == expected, (text, frame.image.sector)
+                assert prov.dropped_sources == 0
+
+    def test_region_aggregate_record_names_its_frame(self, scene, geos_crs, monkeypatch):
+        """Without ``last_in_frame`` a record leaves on the next frame's first
+        row, whose scan must stay in the tag of the next record."""
+        imager, catalog, box, b = self._imager_catalog(scene, geos_crs)
+        vis = imager.stream("vis")
+        rows = [dc_replace(c, last_in_frame=False) for c in vis.chunks()]
+        unmarked = StreamCatalog()
+        unmarked.register(GeoStream.from_chunks(vis.metadata, rows), catalog.extent("goes.vis"))
+        records = []
+        with obs.observe(stats=True):
+            server = DSMSServer(unmarked)
+            session = server.register(f"ragg(goes.vis, 'mean', 'roi', {b})")
+            receive = session.receive
+            monkeypatch.setattr(session, "receive", lambda c: (records.append(c), receive(c)))
+            server.run()
+        scans = source_scans(unmarked)
+        sectors = sorted({c.sector for c in scans["goes.vis"]})
+        assert [r.sector for r in records] == sectors
+        for record in records:
+            k = sectors.index(record.sector)
+            own = used_scans(scans, "goes.vis", {sectors[k]}, None)
+            reach = used_scans(scans, "goes.vis", set(sectors[k : k + 2]), None)
+            assert own <= lineage(record).sources <= reach
+
+    def test_explain_analyze_example_names_the_last_frame(self, capsys):
+        load_example("explain_analyze").main()
+        out = capsys.readouterr().out
+        lineage_lines = [line for line in out.splitlines() if "ordinals" in line]
+        assert len(lineage_lines) == 2  # one per query, both of the last frame
+        assert all(line.endswith("goes.vis ordinals [96..191]") for line in lineage_lines)
+
+    def test_clean_corpus_lineage_is_sound(self):
+        """Every frame names each scan of its own frame that reached the query.
+
+        One shared DSMS runs the whole clean golden corpus. A tag may be
+        wider than its frame: an operator still holding points (a
+        composition side whose partner never came) keeps accumulating,
+        and a stage that never sees a frame's last row (routing pruned
+        it) never closes the frame. Never narrower.
+        """
+        catalog = build_demo_catalog(seed=7, n_frames=2, width=96, height=48)[1]
+        queries = clean_queries()
+        with obs.observe(stats=True) as ob:
+            server = DSMSServer(catalog)
+            sessions = {text: server.register(text, encode_png=False) for text in queries}
+            server.run()
+        scans = source_scans(catalog)
+        consumed = sum(ob.stats.scans.values())
+        frames = widened = 0
+        for text, session in sessions.items():
+            compiled = compile_query(parse_query(text), catalog)
+            for frame in session.frames:
+                prov = lineage(frame)
+                own = {frame.image.sector}
+                need = set().union(
+                    *(used_scans(scans, sid, own, box) for sid, box in compiled.route_boxes.items())
+                )
+                assert need <= prov.sources, (text, sorted(need - prov.sources))
+                assert len(prov.sources) + prov.dropped_sources <= consumed
+                frames += 1
+                widened += not prov.sources <= set().union(
+                    *(used_scans(scans, sid, own, None) for sid in compiled.route_boxes)
+                )
+        assert frames > 300
+        # Recorded when frame-scoped lineage landed; the parent's tags
+        # reached back to frame 0 in every later frame (184).
+        assert widened <= 26
+
+    @pytest.mark.parametrize("mode", ("sliding", "tumbling"))
+    def test_temporal_aggregate_names_its_window(self, mode):
+        catalog = build_demo_catalog(seed=7, n_frames=4, width=48, height=24)[1]
+        text = f"tagg(reflectance(goes.vis), 'max', 2, mode='{mode}')"
+        with obs.observe(stats=True) as ob:
+            server = DSMSServer(catalog)
+            session = server.register(text, encode_png=False)
+            server.run()
+        scans = source_scans(catalog)
+        sectors = sorted({c.sector for c in scans["goes.vis"]})
+        assert len(session.frames) == (3 if mode == "sliding" else 2)
+        for frame in session.frames:
+            prov = lineage(frame)
+            k = sectors.index(frame.image.sector)
+            window = used_scans(scans, "goes.vis", set(sectors[k - 1 : k + 1]), None)
+            assert window <= prov.sources
+            assert len(prov.sources) + prov.dropped_sources <= sum(ob.stats.scans.values())
+            if mode == "tumbling":  # the window is released: the tag closes with it
+                assert prov.sources == window
 
 
 class TestStageStatsViaDAG:

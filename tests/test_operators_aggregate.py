@@ -1,13 +1,17 @@
 """Spatio-temporal aggregates (ref [27] extension, experiment X1)."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from repro.core import Organization
+from repro.core import GridChunk, Organization, PointChunk
 from repro.errors import OperatorError
-from repro.geo import BoundingBox
+from repro.geo import LATLON, BoundingBox
 from repro.ingest import GOESImager, LidarScanner, western_us_sector
 from repro.operators import RegionAggregate, TemporalAggregate
+
+from tests.reference import reference_kernels
 
 DAY_T0 = 72_000.0
 
@@ -165,6 +169,21 @@ class TestRegionAggregate:
             RegionAggregate({"roi": self.region_of(imager)}, "mean")
         )
         assert out.metadata.organization is Organization.POINT_BY_POINT
+
+    @pytest.mark.parametrize("kernels", ("production", "reference"))
+    @pytest.mark.parametrize("kind", ("grid", "points"))
+    def test_vector_values_rejected(self, latlon_lattice, kind, kernels):
+        """One scalar per region: pooling an 8x6 RGB chunk's channels read 144."""
+        rgb = np.ones(latlon_lattice.shape + (3,), dtype=np.uint8)
+        if kind == "grid":
+            chunk = GridChunk(rgb, latlon_lattice, "rgb", 0.0)
+        else:
+            x, y = latlon_lattice.meshgrid()
+            chunk = PointChunk(x.ravel(), y.ravel(), rgb.reshape(-1, 3), "rgb", np.zeros(x.size), LATLON)
+        with reference_kernels() if kernels == "reference" else contextlib.nullcontext():
+            op = RegionAggregate({"all": latlon_lattice.bbox}, "count")
+            with pytest.raises(OperatorError, match="one channel"):
+                list(op.process(chunk))
 
     def test_validation(self, scene, geos_crs):
         with pytest.raises(OperatorError):

@@ -542,9 +542,9 @@ def _check_no_mode_switch(rel: str, tree: ast.AST) -> Iterator[Violation]:
 
 # (repo-relative path prefixes, most lines the files under them may hold together)
 LINE_BUDGETS: tuple[tuple[tuple[str, ...], int], ...] = (
-    (("src/",), 22_485),
+    (("src/",), 22_472),
     (("src/repro/server/dsms.py",), 1_026),
-    (("src/repro/obs/",), 3_688),
+    (("src/repro/obs/",), 3_687),
     (("src/repro/cli.py",), 1_018),
     (
         (
@@ -552,7 +552,7 @@ LINE_BUDGETS: tuple[tuple[tuple[str, ...], int], ...] = (
             "src/repro/query/cost.py",
             "src/repro/query/types.py",
         ),
-        1_070,
+        1_066,
     ),
 )
 
